@@ -10,6 +10,7 @@ from .algebra import (
     JacobiReport,
     JacobiViolationError,
     LieAlgebra,
+    MalformedAlgebraError,
     MaurerCartanForm,
     NotNilpotentError,
     SeriesReport,
@@ -19,7 +20,6 @@ from .algebra import (
     centralizer,
     characteristic_sequence,
     check_jacobi,
-    derivation_system_matrix,
     derivations,
     derived_series,
     derived_subalgebra,
@@ -34,17 +34,14 @@ from .algebra import (
     lower_central_series,
     nilindex,
     series_term,
-    subalgebra_generated,
     to_json,
     to_json_dict,
 )
 from .completeness import (
     CompletenessCertificate,
-    StructureConditionsReport,
     Torus,
     WeightSystem,
     build_r_m,
-    check_structure_conditions,
     diagonal_rank,
     is_complete,
     max_torus,
@@ -69,12 +66,9 @@ from .exactlin import (
     Matrix,
     Rational,
     Subspace,
-    nullspace,
     nullspace_of_rows,
     rank,
-    rref,
     solve,
-    span,
 )
 from .families import (
     FamilySpec,

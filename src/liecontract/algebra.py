@@ -12,7 +12,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .exactlin import (
     DimensionError,
@@ -38,6 +38,10 @@ class JacobiViolationError(ValueError):
         super().__init__(f"Jacobi identity fails, first violation at {first}")
 
 
+class MalformedAlgebraError(ValueError):
+    """A JSON algebra document is malformed or its tensor is not a Lie law."""
+
+
 def _default_labels(dim: int) -> tuple[str, ...]:
     return tuple(f"X{i + 1}" for i in range(dim))
 
@@ -47,10 +51,12 @@ class LieAlgebra:
 
     `tensor` maps a pair (i, j) with i < j to {k: C^k_ij}; only nonzero
     coefficients are kept.  Equality compares dimension and tensor (labels are
-    presentation only).
+    presentation only).  `_adj[j]` lists (r, s, c) with [X_r, X_j] = c X_s; it
+    is the one sparse reading of the tensor behind every bracket-driven
+    invariant.
     """
 
-    __slots__ = ("dim", "basis_labels", "_tensor")
+    __slots__ = ("dim", "basis_labels", "_tensor", "_adj")
 
     def __init__(
         self,
@@ -76,9 +82,15 @@ class LieAlgebra:
         labels = _default_labels(dim) if basis_labels is None else tuple(basis_labels)
         if len(labels) != dim:
             raise DimensionError("label count does not match dimension")
+        adj: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(dim)]
+        for (i, j), entries in clean.items():
+            for k, c in entries.items():
+                adj[j].append((i, k, c))
+                adj[i].append((j, k, -c))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis_labels", labels)
         object.__setattr__(self, "_tensor", clean)
+        object.__setattr__(self, "_adj", tuple(tuple(row) for row in adj))
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -119,15 +131,28 @@ class LieAlgebra:
                     out[k] += coeff * c
         return tuple(out)
 
+    def _brackets_with(self, v: Sequence[Fraction]) -> list[dict[int, Fraction]]:
+        """[X_r, v] for every basis index r, as sparse vectors {s: coefficient}."""
+        out: list[dict[int, Fraction]] = [{} for _ in range(self.dim)]
+        for j, vj in enumerate(v):
+            if vj:
+                for (r, s, c) in self._adj[j]:
+                    col = out[r]
+                    col[s] = col.get(s, _ZERO) + vj * c
+        return [{s: c for s, c in col.items() if c} for col in out]
+
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of ad(x) = [x, .] in the algebra basis."""
         n = self.dim
-        cols = []
-        for r in range(n):
-            unit = [_ZERO] * n
-            unit[r] = Fraction(1)
-            cols.append(self.bracket(x, unit))
-        return Matrix([[cols[r][s] for r in range(n)] for s in range(n)], ncols=n)
+        if len(x) != n:
+            raise DimensionError("vector length does not match algebra dimension")
+        xs = [v if type(v) is Fraction else Fraction(v) for v in x]
+        rows = [[_ZERO] * n for _ in range(n)]
+        # Column r of ad(x) is [x, X_r] = -[X_r, x].
+        for r, col in enumerate(self._brackets_with(xs)):
+            for s, c in col.items():
+                rows[s][r] = -c
+        return Matrix(rows, ncols=n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -219,19 +244,14 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
     """{x : [x, v] = 0 for all v in S}."""
     if S.ambient_dim != L.dim:
         raise DimensionError("subspace ambient does not match algebra dimension")
-    n = L.dim
     rows: list[dict[int, Fraction]] = []
     for v in S.basis:
         per_s: dict[int, dict[int, Fraction]] = {}
-        for i in range(n):
-            unit = [_ZERO] * n
-            unit[i] = Fraction(1)
-            w = L.bracket(unit, v)
-            for s, val in enumerate(w):
-                if val:
-                    per_s.setdefault(s, {})[i] = val
+        for i, w in enumerate(L._brackets_with(v)):
+            for s, val in w.items():
+                per_s.setdefault(s, {})[i] = val
         rows.extend(per_s[s] for s in sorted(per_s))
-    return nullspace_of_rows(rows, n)
+    return nullspace_of_rows(rows, L.dim)
 
 
 def center(L: LieAlgebra) -> Subspace:
@@ -240,18 +260,19 @@ def center(L: LieAlgebra) -> Subspace:
 
 def bracket_subspaces(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """span{[a, b] : a in A, b in B}."""
-    vectors = [L.bracket(a, b) for a in A.basis for b in B.basis]
-    return Subspace(L.dim, vectors)
-
-
-def subalgebra_generated(L: LieAlgebra, vectors: Iterable[Sequence]) -> Subspace:
-    """Smallest subalgebra containing the given vectors (iterated bracket closure)."""
-    current = Subspace(L.dim, vectors)
-    while True:
-        grown = current.sum(bracket_subspaces(L, current, current))
-        if grown == current:
-            return current
-        current = grown
+    n = L.dim
+    with_b = [L._brackets_with(b) for b in B.basis]
+    vectors = []
+    for a in A.basis:
+        for cols in with_b:
+            # [a, b] = sum_r a_r [X_r, b]
+            out = [_ZERO] * n
+            for r, ar in enumerate(a):
+                if ar:
+                    for s, c in cols[r].items():
+                        out[s] += ar * c
+            vectors.append(out)
+    return Subspace(n, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -355,16 +376,6 @@ def has_abelian_direct_factor(L: LieAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _adjacency(L: LieAlgebra) -> list[list[tuple[int, int, Fraction]]]:
-    """adj[j] lists (r, s, c) with [X_r, X_j] = sum c X_s."""
-    adj: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(L.dim)]
-    for (i, j), fiber in L._tensor.items():
-        for k, c in fiber.items():
-            adj[j].append((i, k, c))
-            adj[i].append((j, k, -c))
-    return adj
-
-
 def _derivation_rows(L: LieAlgebra) -> Iterator[list[dict[int, Fraction]]]:
     """Equation rows of D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j], unknown D_rc at r*n+c.
 
@@ -372,7 +383,7 @@ def _derivation_rows(L: LieAlgebra) -> Iterator[list[dict[int, Fraction]]]:
     output component s (zero rows included so callers control the layout).
     """
     n = L.dim
-    adj = _adjacency(L)
+    adj = L._adj
     for i in range(n):
         for j in range(i + 1, n):
             per_s: list[dict[int, Fraction]] = [{} for _ in range(n)]
@@ -404,20 +415,6 @@ def derivations(L: LieAlgebra) -> Subspace:
     return nullspace_of_rows(rows, n * n)
 
 
-def derivation_system_matrix(L: LieAlgebra) -> Matrix:
-    """Dense coefficient matrix of the derivation equations.
-
-    Shape n*n(n-1)/2 by n^2: for each basis pair (i < j, lex order) one row per
-    output component s, zero rows kept.  derivations(L) is its kernel.
-    """
-    n = L.dim
-    dense: list[tuple[Fraction, ...]] = []
-    for block in _derivation_rows(L):
-        for row in block:
-            dense.append(tuple(row.get(c, _ZERO) for c in range(n * n)))
-    return Matrix(dense, ncols=n * n)
-
-
 def flatten_matrix(M: Matrix) -> tuple[Fraction, ...]:
     """Row-major flattening, matching the derivation unknown layout."""
     return tuple(v for row in M.entries for v in row)
@@ -434,27 +431,19 @@ def inner_derivations(L: LieAlgebra) -> Subspace:
 
 
 def is_derivation(L: LieAlgebra, M: Matrix) -> bool:
-    """Check D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j] on all basis pairs."""
+    """Check D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j] on all basis pairs.
+
+    Evaluates the rows of the derivation system on the flattened matrix.
+    """
     n = L.dim
     if M.shape != (n, n):
         raise DimensionError("matrix shape does not match algebra dimension")
-    cols = [tuple(M[s, r] for s in range(n)) for r in range(n)]
-    for i in range(n):
-        unit_i = [_ZERO] * n
-        unit_i[i] = Fraction(1)
-        for j in range(i + 1, n):
-            unit_j = [_ZERO] * n
-            unit_j[j] = Fraction(1)
-            fiber = L.fiber(i, j)
-            bracket_ij = [_ZERO] * n
-            for k, c in fiber.items():
-                bracket_ij[k] = c
-            lhs = M.matvec(bracket_ij)
-            rhs_a = L.bracket(cols[i], unit_j)
-            rhs_b = L.bracket(unit_i, cols[j])
-            if any(a != b + c for a, b, c in zip(lhs, rhs_a, rhs_b)):
-                return False
-    return True
+    flat = flatten_matrix(M)
+    return all(
+        not sum((v * flat[c] for c, v in row.items()), _ZERO)
+        for block in _derivation_rows(L)
+        for row in block
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -553,16 +542,73 @@ def to_json_dict(L: LieAlgebra, family: Mapping | None = None) -> dict:
     return out
 
 
+def _json_index(value, what: str, lo: int, hi: int | None = None) -> int:
+    if type(value) is not int or value < lo or (hi is not None and value > hi):
+        bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+        raise MalformedAlgebraError(f"{what} must be an integer {bound}, got {value!r}")
+    return value
+
+
+def _json_coefficient(value, where: str) -> Fraction:
+    if type(value) not in (int, str):
+        raise MalformedAlgebraError(
+            f"{where}: coefficient must be an integer or a 'p/q' string, got {value!r}"
+        )
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise MalformedAlgebraError(f"{where}: cannot parse coefficient {value!r}") from None
+
+
 def from_json_dict(data: Mapping) -> LieAlgebra:
-    dim = data["dim"]
+    """Read the document written by to_json_dict, rejecting anything malformed.
+
+    Raises MalformedAlgebraError on a missing or mistyped field, an index out
+    of range, a repeated (i, j) pair, an unparseable coefficient, or a tensor
+    that breaks the Jacobi identity (the message names the first failing
+    triple).
+    """
+    if not isinstance(data, Mapping):
+        raise MalformedAlgebraError("algebra document must be a JSON object")
+    if "dim" not in data:
+        raise MalformedAlgebraError("algebra document has no 'dim' field")
+    dim = _json_index(data["dim"], "dim", 0)
     labels = data.get("basis")
+    if labels is not None and not (
+        isinstance(labels, list) and len(labels) == dim and all(isinstance(x, str) for x in labels)
+    ):
+        raise MalformedAlgebraError(f"'basis' must be a list of {dim} strings")
+    if not isinstance(data.get("family", {}), Mapping):
+        raise MalformedAlgebraError("'family' must be a JSON object")
+    brackets = data.get("brackets", [])
+    if not isinstance(brackets, list):
+        raise MalformedAlgebraError("'brackets' must be a list")
     tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for entry in data.get("brackets", ()):
-        i, j = entry["i"] - 1, entry["j"] - 1
-        fiber = tensor.setdefault((i, j), {})
-        for k, c in entry["coeffs"].items():
-            fiber[int(k) - 1] = Fraction(c)
-    return LieAlgebra(dim, tensor, labels)
+    for entry in brackets:
+        if not isinstance(entry, Mapping) or not isinstance(entry.get("coeffs"), Mapping):
+            raise MalformedAlgebraError("each bracket needs integer 'i', 'j' and a 'coeffs' object")
+        i = _json_index(entry.get("i"), "bracket index i", 1, dim)
+        j = _json_index(entry.get("j"), "bracket index j", i + 1, dim)
+        if (i - 1, j - 1) in tensor:
+            raise MalformedAlgebraError(f"duplicate bracket entry for (i, j) = ({i}, {j})")
+        fiber = tensor[(i - 1, j - 1)] = {}
+        where = f"bracket ({i}, {j})"
+        for key, c in entry["coeffs"].items():
+            try:
+                k = int(key)
+            except (TypeError, ValueError):
+                raise MalformedAlgebraError(f"{where}: bad target index {key!r}") from None
+            k = _json_index(k, f"{where}: target index", 1, dim)
+            fiber[k - 1] = _json_coefficient(c, where)
+    algebra = LieAlgebra(dim, tensor, labels)
+    report = check_jacobi(algebra)
+    if not report.ok:
+        i, j, l, s, residual = report.violations[0]
+        raise MalformedAlgebraError(
+            f"Jacobi identity fails on the basis triple ({i + 1}, {j + 1}, {l + 1}): "
+            f"component {s + 1} of the Jacobi sum is {residual}"
+        )
+    return algebra
 
 
 def to_json(L: LieAlgebra, family: Mapping | None = None) -> str:

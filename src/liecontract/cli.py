@@ -3,7 +3,8 @@
 Subcommands: gen, invariants, contract, verify-complete, check, table.  All
 data output is deterministic (identical flags give byte-identical output);
 diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 invalid flags or parameters.
+2 invalid flags, parameters, LIECONTRACT_THREADS value or input file
+(unreadable, not JSON, malformed, or a tensor that breaks Jacobi).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import (
     LieAlgebra,
+    MalformedAlgebraError,
     betti1,
     center,
     characteristic_sequence,
@@ -346,12 +348,30 @@ def _render_table(rows: list[dict], fmt: str) -> str:
     return "\n".join([header, divider] + body)
 
 
+def _worker_count(setting: str | None, jobs: int, cpus: int | None) -> int:
+    """Worker processes for `jobs` table rows: min(setting, jobs, cpus).
+
+    `setting` is the raw LIECONTRACT_THREADS value; unset or empty means 1.
+    """
+    if not setting:
+        return 1
+    try:
+        requested = int(setting)
+        if requested < 1:
+            raise ValueError
+    except ValueError:
+        raise InvalidFamilyError(
+            f"{THREADS_ENV} must be a positive integer, got {setting!r}"
+        ) from None
+    return min(requested, jobs, cpus or 1)
+
+
 def _cmd_table(args) -> int:
     specs: list[tuple[int, tuple[int, ...]]] = []
     for m in _parse_m_range(args.m):
         specs.append((m, ()))
         specs.extend((m, q) for q in all_q_lists(m, args.max_k))
-    workers = int(os.environ.get(THREADS_ENV, "1") or "1")
+    workers = _worker_count(os.environ.get(THREADS_ENV), len(specs), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_table_row, specs))
@@ -430,7 +450,14 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (InvalidFamilyError, DimensionError, FileNotFoundError) as exc:
+    except (
+        InvalidFamilyError,
+        DimensionError,
+        MalformedAlgebraError,
+        json.JSONDecodeError,
+        UnicodeDecodeError,
+        OSError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except DivergentLimitError as exc:

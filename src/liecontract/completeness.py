@@ -19,10 +19,8 @@ from .algebra import (
     center,
     check_jacobi,
     derivations,
-    is_derivation,
-    subalgebra_generated,
 )
-from .exactlin import Matrix, Subspace, nullspace_of_rows
+from .exactlin import nullspace_of_rows
 from .families import make_g_m, make_g_m_q
 
 _ZERO = Fraction(0)
@@ -74,18 +72,16 @@ class Torus:
         return len(self.generators)
 
 
-def diagonal_matrix(weights: Sequence[Fraction]) -> Matrix:
-    n = len(weights)
-    return Matrix(
-        [[weights[i] if i == j else _ZERO for j in range(n)] for i in range(n)], ncols=n
-    )
+def _is_diagonal_derivation(L: LieAlgebra, w: Sequence[Fraction]) -> bool:
+    """diag(w) is a derivation iff w_i + w_j = w_k for every nonzero C^k_ij."""
+    return all(w[i] + w[j] == w[k] for (i, j, k, _) in L.entries())
 
 
 def max_torus(L: LieAlgebra) -> Torus:
     """Torus spanned by the canonical weight-system solution basis."""
     system = weight_system(L)
     for w in system.solution_basis:
-        if not is_derivation(L, diagonal_matrix(w)):
+        if not _is_diagonal_derivation(L, w):
             raise RuntimeError(
                 "weight-system solution failed the derivation recheck; "
                 "this indicates an internal inconsistency"
@@ -104,7 +100,7 @@ def semidirect_product(L: LieAlgebra, T: Torus) -> LieAlgebra:
     for w in T.generators:
         if len(w) != n:
             raise ValueError("torus generator length does not match algebra dimension")
-        if not is_derivation(L, diagonal_matrix(w)):
+        if not _is_diagonal_derivation(L, w):
             raise ValueError("torus generator is not a derivation of the algebra")
     tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
     for a, w in enumerate(T.generators):
@@ -178,139 +174,3 @@ def build_r_m(m: int, q_list: tuple[int, ...] = ()) -> LieAlgebra:
     """Semidirect extension of the (possibly cut) chain algebra by its max torus."""
     g = make_g_m_q(m, tuple(q_list)) if q_list else make_g_m(m)
     return semidirect_product(g, max_torus(g))
-
-
-@dataclass(frozen=True)
-class StructureConditionsReport:
-    """Outcome of the sufficient-conditions check against a Cartan candidate.
-
-    Conditions: (1) the candidate is abelian; (2) the zero-weight space of its
-    action is the candidate itself, the rest of the algebra splitting into
-    weight spaces; (3) some weight-space basis of the dual has all designated
-    spaces of dimension <= 1 with nonzero opposite pairings; (4) the candidate
-    plus the designated weight spaces generate the whole algebra.
-    """
-
-    cartan_abelian: bool
-    action_diagonal: bool
-    zero_weight_space_is_cartan: bool
-    weight_spaces_ok: bool
-    generates: bool
-    designated_weights: tuple[tuple[Fraction, ...], ...]
-    problems: tuple[str, ...]
-
-    @property
-    def all_ok(self) -> bool:
-        return (
-            self.cartan_abelian
-            and self.action_diagonal
-            and self.zero_weight_space_is_cartan
-            and self.weight_spaces_ok
-            and self.generates
-        )
-
-
-def _failed(problems: list[str], **flags) -> StructureConditionsReport:
-    defaults = dict(
-        cartan_abelian=False,
-        action_diagonal=False,
-        zero_weight_space_is_cartan=False,
-        weight_spaces_ok=False,
-        generates=False,
-        designated_weights=(),
-    )
-    defaults.update(flags)
-    return StructureConditionsReport(problems=tuple(problems), **defaults)
-
-
-def check_structure_conditions(L: LieAlgebra, cartan: Subspace) -> StructureConditionsReport:
-    """Verify the completeness sufficient conditions for a diagonally-acting Cartan.
-
-    The check only handles candidates whose adjoint action is diagonal on the
-    given basis (which is how the semidirect products here are built); any
-    other action is reported as a problem rather than decided.
-    """
-    n = L.dim
-    problems: list[str] = []
-    zero = (_ZERO,) * n
-    abelian = all(
-        L.bracket(u, v) == zero for u in cartan.basis for v in cartan.basis
-    )
-    if not abelian:
-        problems.append("cartan candidate is not abelian")
-        return _failed(problems)
-    ads = [L.ad_matrix(v) for v in cartan.basis]
-    for ad in ads:
-        for i in range(n):
-            for j in range(n):
-                if i != j and ad[i, j]:
-                    problems.append(
-                        "cartan action is not diagonal on the given basis; "
-                        "weight decomposition not attempted"
-                    )
-                    return _failed(problems, cartan_abelian=True)
-    s = cartan.dim
-    weights = [tuple(ad[i, i] for ad in ads) for i in range(n)]
-    zero_weight = tuple([_ZERO] * s)
-    zero_indices = [i for i, w in enumerate(weights) if w == zero_weight]
-    zero_space = Subspace(
-        n, [[_ONE if c == i else _ZERO for c in range(n)] for i in zero_indices]
-    )
-    condition2 = zero_space == cartan
-    if not condition2:
-        problems.append(
-            f"zero-weight space has dimension {zero_space.dim}, "
-            f"cartan candidate has dimension {s}"
-        )
-    # Designated weights: greedily collect admissible weights (spaces of
-    # dimension <= 1 on both sides, nonzero pairing when the opposite weight
-    # occurs) until they span the dual of the cartan.
-    multiplicity: dict[tuple[Fraction, ...], list[int]] = {}
-    for i, w in enumerate(weights):
-        if w != zero_weight:
-            multiplicity.setdefault(w, []).append(i)
-    designated: list[tuple[Fraction, ...]] = []
-    picked = Subspace.zero(s)
-    for w in sorted(multiplicity):
-        indices = multiplicity[w]
-        if len(indices) > 1:
-            continue
-        opposite = tuple(-v for v in w)
-        opp_indices = multiplicity.get(opposite, [])
-        if len(opp_indices) > 1:
-            continue
-        if opp_indices:
-            unit_a = [_ONE if c == indices[0] else _ZERO for c in range(n)]
-            unit_b = [_ONE if c == opp_indices[0] else _ZERO for c in range(n)]
-            if L.bracket(unit_a, unit_b) == zero:
-                continue
-        grown = picked.sum(Subspace(s, [w]))
-        if grown.dim > picked.dim:
-            picked = grown
-            designated.append(w)
-    condition3 = picked.dim == s
-    if not condition3:
-        problems.append(
-            f"admissible weights span only {picked.dim} of {s} dual dimensions"
-        )
-    generators = list(cartan.basis)
-    for w in designated:
-        for index in multiplicity[w]:
-            unit = [_ONE if c == index else _ZERO for c in range(n)]
-            generators.append(unit)
-        opposite = tuple(-v for v in w)
-        for index in multiplicity.get(opposite, []):
-            unit = [_ONE if c == index else _ZERO for c in range(n)]
-            generators.append(unit)
-    condition4 = subalgebra_generated(L, generators) == Subspace.full(n)
-    if not condition4:
-        problems.append("cartan and designated weight spaces do not generate")
-    return StructureConditionsReport(
-        cartan_abelian=True,
-        action_diagonal=True,
-        zero_weight_space_is_cartan=condition2,
-        weight_spaces_ok=condition3,
-        generates=condition4,
-        designated_weights=tuple(designated),
-        problems=tuple(problems),
-    )

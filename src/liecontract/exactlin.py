@@ -129,23 +129,12 @@ class Matrix:
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "Matrix":
-        return cls([[_ZERO] * ncols for _ in range(nrows)], ncols=ncols)
-
-    @classmethod
     def identity(cls, n: int) -> "Matrix":
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], ncols=n)
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
         return self.entries[i][j]
-
-    def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.entries[i]
-
-    def transpose(self) -> "Matrix":
-        cols = [[row[j] for row in self.entries] for j in range(self.ncols)]
-        return Matrix(cols, ncols=self.nrows)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
@@ -188,19 +177,6 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
-def rref(matrix: Matrix) -> tuple[Matrix, int, tuple[int, ...]]:
-    """Reduced row echelon form of `matrix`: (rref matrix, rank, pivot columns).
-
-    The result keeps the original shape; zero rows sink to the bottom.  The
-    reduced form is unique, hence deterministic and idempotent.
-    """
-    pivots = _reduce_rows(_rows_from_dense(matrix.entries))
-    cols = sorted(pivots)
-    rows = [_densify(pivots[c], matrix.ncols) for c in cols]
-    rows += [(_ZERO,) * matrix.ncols] * (matrix.nrows - len(rows))
-    return Matrix(rows, ncols=matrix.ncols), len(cols), tuple(cols)
-
-
 def rank(matrix: Matrix) -> int:
     return len(_reduce_rows(_rows_from_dense(matrix.entries)))
 
@@ -208,11 +184,6 @@ def rank(matrix: Matrix) -> int:
 def nullspace_of_rows(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> "Subspace":
     """Kernel of a sparse row system, as a canonical Subspace of Q^ncols."""
     return Subspace._from_rows(_nullspace_basis(rows, ncols), ncols)
-
-
-def nullspace(matrix: Matrix) -> "Subspace":
-    """Kernel {x : Mx = 0} as a Subspace of Q^ncols."""
-    return nullspace_of_rows(_rows_from_dense(matrix.entries), matrix.ncols)
 
 
 def solve(matrix: Matrix, rhs: Sequence) -> tuple[Fraction, ...]:
@@ -278,10 +249,6 @@ class Subspace:
         return sub
 
     @classmethod
-    def span(cls, vectors: Iterable[Iterable], ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, vectors)
-
-    @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
         return cls(ambient_dim)
 
@@ -324,37 +291,6 @@ class Subspace:
         self._check_ambient(other)
         return Subspace(self.ambient_dim, self.basis + other.basis)
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        """Intersection, via the kernel of the stacked coefficient system."""
-        self._check_ambient(other)
-        p, q = self.dim, other.dim
-        # Columns 0..p-1 weight self.basis, p..p+q-1 weight other.basis; a
-        # kernel vector is one combination written two ways.
-        rows: list[dict[int, Fraction]] = []
-        for coord in range(self.ambient_dim):
-            row: dict[int, Fraction] = {}
-            for a in range(p):
-                v = self.basis[a][coord]
-                if v:
-                    row[a] = v
-            for b in range(q):
-                v = other.basis[b][coord]
-                if v:
-                    row[p + b] = -v
-            if row:
-                rows.append(row)
-        vectors = []
-        for combo in _nullspace_basis(rows, p + q):
-            dense = [_ZERO] * self.ambient_dim
-            for a in range(p):
-                w = combo.get(a)
-                if w:
-                    for c, v in enumerate(self.basis[a]):
-                        if v:
-                            dense[c] += w * v
-            vectors.append(dense)
-        return Subspace(self.ambient_dim, vectors)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
@@ -368,7 +304,3 @@ class Subspace:
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"
 
-
-def span(vectors: Iterable[Iterable], ambient_dim: int) -> Subspace:
-    """Convenience alias for Subspace.span."""
-    return Subspace.span(vectors, ambient_dim)

@@ -2,19 +2,20 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liecontract.algebra import (
     JacobiViolationError,
     LieAlgebra,
     MaurerCartanForm,
     NotNilpotentError,
+    _derivation_rows,
     betti1,
+    bracket_subspaces,
     center,
     centralizer,
     characteristic_sequence,
     check_jacobi,
-    derivation_system_matrix,
     derivations,
     derived_series,
     derived_subalgebra,
@@ -30,7 +31,6 @@ from liecontract.algebra import (
     lower_central_series,
     nilindex,
     series_term,
-    subalgebra_generated,
     to_json,
     to_json_dict,
 )
@@ -43,6 +43,7 @@ from liecontract.families import (
     make_heisenberg_plus_abelian,
     make_model_filiform,
 )
+from oracles import rank_reverse_elimination
 
 
 def unit(n, i):
@@ -231,15 +232,11 @@ def test_derivation_dims_grow_under_cutting(g4):
 
 def test_derivation_system_matrix_shape_and_golden_row():
     heis = make_model_filiform(3)
-    system = derivation_system_matrix(heis)
-    assert system.shape == (9, 9)
+    blocks = list(_derivation_rows(heis))
+    # One block per pair i < j, one row per output component.
+    assert [len(block) for block in blocks] == [3, 3, 3]
     # pair (X1, X2), output component X3: D33 - D11 - D22 = 0
-    assert system.row(2) == tuple(
-        Fraction(v) for v in (-1, 0, 0, 0, -1, 0, 0, 0, 1)
-    )
-    from liecontract.exactlin import nullspace
-
-    assert nullspace(system) == derivations(heis)
+    assert blocks[0][2] == {0: -1, 4: -1, 8: 1}
 
 
 def test_inner_derivations_sit_inside_derivations(g4):
@@ -262,6 +259,106 @@ def test_flatten_matches_unknown_layout(g4):
     ad = g4.ad_matrix(unit(9, 0))
     flat = flatten_matrix(ad)
     assert flat[2 * 9 + 1] == ad[2, 1] == 1
+
+
+# --- bracket-driven primitives against the dense bracket ----------------------
+
+# [X1,X2] = 1/2 X2, [X1,X3] = -3/4 X3, [X1,X4] = -1/4 X4, [X2,X3] = 5/7 X4:
+# a solvable algebra whose structure constants are not integers.
+FRACTIONAL = LieAlgebra(
+    4,
+    {
+        (0, 1): {1: Fraction(1, 2)},
+        (0, 2): {2: Fraction(-3, 4)},
+        (0, 3): {3: Fraction(-1, 4)},
+        (1, 2): {3: Fraction(5, 7)},
+    },
+)
+PROPERTY_ALGEBRAS = {
+    "g4": make_g_m(4),
+    "g5(3,6)": make_g_m_q(5, (3, 6)),
+    "r4": build_r_m(4),
+    "fractional": FRACTIONAL,
+}
+
+# Many zero coordinates, so sparse as well as generic vectors are drawn.
+coordinates = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def algebra_with_vectors(draw, min_count, max_count):
+    L = PROPERTY_ALGEBRAS[draw(st.sampled_from(sorted(PROPERTY_ALGEBRAS)))]
+    vector = st.lists(coordinates, min_size=L.dim, max_size=L.dim)
+    return L, draw(st.lists(vector, min_size=min_count, max_size=max_count))
+
+
+def derivation_by_brackets(L, M):
+    """D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j] on every basis pair, via the dense bracket."""
+    n = L.dim
+    units = [unit(n, i) for i in range(n)]
+    cols = [[M[s, r] for s in range(n)] for r in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            lhs = M.matvec(L.bracket(units[i], units[j]))
+            a, b = L.bracket(cols[i], units[j]), L.bracket(units[i], cols[j])
+            if lhs != tuple(u + v for u, v in zip(a, b)):
+                return False
+    return True
+
+
+def test_property_algebras_are_lie():
+    assert all(check_jacobi(L).ok for L in PROPERTY_ALGEBRAS.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_with_vectors(2, 2))
+def test_ad_matrix_matches_bracket(case):
+    L, (x, y) = case
+    assert L.ad_matrix(x).matvec(y) == L.bracket(x, y)
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_with_vectors(1, 5), st.integers(1, 4))
+def test_bracket_subspaces_matches_bracket(case, split):
+    L, vectors = case
+    A = Subspace(L.dim, vectors[:split])
+    B = Subspace(L.dim, vectors[split:])
+    expected = Subspace(L.dim, [L.bracket(a, b) for a in A.basis for b in B.basis])
+    assert bracket_subspaces(L, A, B) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_with_vectors(0, 3))
+def test_centralizer_matches_bracket(case):
+    L, vectors = case
+    n = L.dim
+    S = Subspace(n, vectors)
+    C = centralizer(L, S)
+    for c in C.basis:
+        for v in S.basis:
+            assert not any(L.bracket(c, v))
+    probe_rows = []
+    for v in S.basis:
+        brackets = [L.bracket(unit(n, i), v) for i in range(n)]
+        for s in range(n):
+            probe_rows.append({i: w[s] for i, w in enumerate(brackets) if w[s]})
+    assert C.dim == n - rank_reverse_elimination(probe_rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(algebra_with_vectors(1, 1), st.data())
+def test_is_derivation_matches_bracket(case, data):
+    L, (x,) = case
+    n = L.dim
+    ad = L.ad_matrix(x)
+    assert is_derivation(L, ad) and derivation_by_brackets(L, ad)
+    r, c = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+    bumped = Matrix(
+        [[ad[i, j] + (1 if (i, j) == (r, c) else 0) for j in range(n)] for i in range(n)]
+    )
+    assert is_derivation(L, bumped) == derivation_by_brackets(L, bumped)
 
 
 # --- characteristic sequence -------------------------------------------------
@@ -316,13 +413,6 @@ def test_abelian_factor_detection(g4):
     assert not has_abelian_direct_factor(make_g_m_q(4, (4,)))
     with pytest.raises(NotNilpotentError):
         has_abelian_direct_factor(build_r_m(4))
-
-
-def test_subalgebra_generated_closure():
-    g44 = make_g_m_q(4, (4,))
-    generators = [unit(9, i) for i in (0, 1, 3, 5)]
-    assert subalgebra_generated(g44, generators) == Subspace.full(9)
-    assert subalgebra_generated(g44, [unit(9, 8)]) == Subspace(9, [unit(9, 8)])
 
 
 def test_derived_subalgebra_of_heisenberg_plus_abelian():

@@ -2,8 +2,10 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from liecontract.algebra import from_json_dict
-from liecontract.cli import THREADS_ENV, run
+from liecontract.cli import THREADS_ENV, _worker_count, run
 from liecontract.families import make_g_m_q
 
 
@@ -73,6 +75,61 @@ def test_invariants_need_a_source(capsys):
 def test_invariants_missing_file(capsys):
     assert run(["invariants", "--in", "/nonexistent/algebra.json"]) == 2
     assert capsys.readouterr().err.startswith("error:")
+
+
+HEISENBERG = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (json.dumps(HEISENBERG)[:-7], "Expecting"),
+        (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "x"}}]}), "cannot parse coefficient 'x'"),
+        (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 0.5}}]}), "coefficient must be"),
+        (json.dumps({"brackets": HEISENBERG["brackets"]}), "no 'dim' field"),
+        (json.dumps({"dim": "3"}), "dim must be an integer"),
+        (json.dumps({"dim": -1}), "dim must be an integer"),
+        (json.dumps([HEISENBERG]), "must be a JSON object"),
+        (json.dumps({"dim": 3, "basis": ["A", "B"]}), "'basis' must be a list of 3 strings"),
+        (json.dumps({"dim": 3, "family": "gm"}), "'family' must be a JSON object"),
+        (json.dumps({"dim": 3, "brackets": [{"i": 2, "j": 1, "coeffs": {"3": "1"}}]}), "index j must be an integer in 3..3"),
+        (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"4": "1"}}]}), "target index must be"),
+        (
+            json.dumps({"dim": 4, "brackets": [
+                {"i": 1, "j": 2, "coeffs": {"3": "1"}},
+                {"i": 1, "j": 3, "coeffs": {"1": "1"}},
+            ]}),
+            "Jacobi identity fails on the basis triple (1, 2, 3): component 3 of the Jacobi sum is -1",
+        ),
+        (
+            json.dumps({"dim": 4, "brackets": [
+                {"i": 1, "j": 2, "coeffs": {"3": "1"}},
+                {"i": 1, "j": 2, "coeffs": {"4": "1"}},
+            ]}),
+            "duplicate bracket entry for (i, j) = (1, 2)",
+        ),
+    ],
+    ids=[
+        "truncated", "unparseable-coefficient", "float-coefficient", "missing-dim",
+        "string-dim", "negative-dim", "not-an-object", "short-basis", "family-not-object",
+        "i-not-below-j", "target-out-of-range", "jacobi-violation", "duplicate-pair",
+    ],
+)
+def test_invariants_rejects_malformed_input(tmp_path, capsys, text, message):
+    source = tmp_path / "algebra.json"
+    source.write_text(text)
+    assert run(["invariants", "--in", str(source)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+    assert message in captured.err
+
+
+def test_invariants_accepts_its_own_heisenberg_document(tmp_path, capsys):
+    source = tmp_path / "algebra.json"
+    source.write_text(json.dumps(HEISENBERG))
+    assert run(["invariants", "--in", str(source)]) == 0
+    assert "der_dim: 6" in out_of(capsys).splitlines()
 
 
 def test_contract_emits_exponent_document(capsys):
@@ -191,6 +248,31 @@ def test_table_parallel_matches_serial(tmp_path, monkeypatch):
     monkeypatch.setenv(THREADS_ENV, "2")
     assert run(["table", "--m", "4", "--max-k", "1", "-o", str(parallel)]) == 0
     assert serial.read_bytes() == parallel.read_bytes()
+
+
+def test_worker_count_is_clamped():
+    assert _worker_count(None, 35, 8) == 1
+    assert _worker_count("", 35, 8) == 1
+    assert _worker_count("1", 35, 8) == 1
+    assert _worker_count("4", 35, 8) == 4
+    assert _worker_count("16", 35, 8) == 8
+    assert _worker_count("16", 3, 8) == 3
+    assert _worker_count("16", 35, None) == 1
+
+
+@pytest.mark.parametrize("setting", ["abc", "0", "-1", "2.5"])
+def test_worker_count_rejects_non_positive_integers(setting):
+    with pytest.raises(ValueError, match=THREADS_ENV):
+        _worker_count(setting, 35, 8)
+
+
+@pytest.mark.parametrize("setting", ["abc", "0", "-1"])
+def test_table_rejects_bad_thread_setting(monkeypatch, capsys, setting):
+    monkeypatch.setenv(THREADS_ENV, setting)
+    assert run(["table", "--m", "4", "--max-k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {THREADS_ENV} must be a positive integer")
 
 
 def test_module_entry_point():

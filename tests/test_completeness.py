@@ -12,14 +12,12 @@ from liecontract.algebra import (
 from liecontract.completeness import (
     Torus,
     build_r_m,
-    check_structure_conditions,
     diagonal_rank,
     is_complete,
     max_torus,
     semidirect_product,
     weight_system,
 )
-from liecontract.exactlin import Subspace
 from liecontract.families import (
     make_abelian,
     make_g_m,
@@ -181,39 +179,3 @@ def test_certificate_serialization():
         isinstance(v, str) for entry in doc["weight_multiplicities"] for v in entry["weight"]
     )
 
-
-def test_structure_conditions_on_the_extension():
-    r4 = build_r_m(4)
-    cartan = Subspace(11, [unit(11, 0), unit(11, 1)])
-    report = check_structure_conditions(r4, cartan)
-    assert report.all_ok
-    assert report.problems == ()
-    assert Subspace(2, [list(w) for w in report.designated_weights]).dim == 2
-
-
-def test_structure_conditions_fail_for_oversized_zero_space():
-    report = check_structure_conditions(make_abelian(3), Subspace(3, [unit(3, 0), unit(3, 1)]))
-    assert report.cartan_abelian
-    assert report.action_diagonal
-    assert not report.zero_weight_space_is_cartan
-    assert not report.all_ok
-    assert any("zero-weight" in p for p in report.problems)
-
-
-def test_structure_conditions_refuse_non_diagonal_action():
-    r4 = build_r_m(4)
-    v = unit(11, 0)
-    v[2] = Fraction(1)
-    report = check_structure_conditions(r4, Subspace(11, [v]))
-    assert report.cartan_abelian
-    assert not report.action_diagonal
-    assert not report.all_ok
-    assert any("not diagonal" in p for p in report.problems)
-
-
-def test_structure_conditions_reject_nonabelian_candidate():
-    r4 = build_r_m(4)
-    candidate = Subspace(11, [unit(11, 0), unit(11, 2), unit(11, 3)])
-    report = check_structure_conditions(r4, candidate)
-    assert not report.cartan_abelian
-    assert any("abelian" in p for p in report.problems)
