@@ -27,7 +27,6 @@ from .algebra import (
     from_json_dict,
     from_maurer_cartan,
     has_abelian_direct_factor,
-    inner_derivations,
     is_derivation,
     is_nilpotent,
     is_solvable,
@@ -64,7 +63,6 @@ from .exactlin import (
     DimensionError,
     LinearSolveError,
     Matrix,
-    Rational,
     Subspace,
     nullspace_of_rows,
     rank,

@@ -95,13 +95,6 @@ class LieAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
-    def structure_constant(self, i: int, j: int, k: int) -> Fraction:
-        if i == j:
-            return _ZERO
-        if i < j:
-            return self._tensor.get((i, j), {}).get(k, _ZERO)
-        return -self._tensor.get((j, i), {}).get(k, _ZERO)
-
     def fiber(self, i: int, j: int) -> dict[int, Fraction]:
         """[X_i, X_j] as a sparse vector {k: coefficient}."""
         if i == j:
@@ -420,16 +413,6 @@ def flatten_matrix(M: Matrix) -> tuple[Fraction, ...]:
     return tuple(v for row in M.entries for v in row)
 
 
-def inner_derivations(L: LieAlgebra) -> Subspace:
-    n = L.dim
-    vectors = []
-    for i in range(n):
-        unit = [_ZERO] * n
-        unit[i] = Fraction(1)
-        vectors.append(flatten_matrix(L.ad_matrix(unit)))
-    return Subspace(n * n, vectors)
-
-
 def is_derivation(L: LieAlgebra, M: Matrix) -> bool:
     """Check D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j] on all basis pairs.
 
@@ -563,10 +546,10 @@ def _json_coefficient(value, where: str) -> Fraction:
 def from_json_dict(data: Mapping) -> LieAlgebra:
     """Read the document written by to_json_dict, rejecting anything malformed.
 
-    Raises MalformedAlgebraError on a missing or mistyped field, an index out
-    of range, a repeated (i, j) pair, an unparseable coefficient, or a tensor
-    that breaks the Jacobi identity (the message names the first failing
-    triple).
+    Raises MalformedAlgebraError on a missing or mistyped field (including a
+    non-string 'family.family' label), an index out of range, a repeated
+    (i, j) pair, an unparseable coefficient, or a tensor that breaks the
+    Jacobi identity (the message names the first failing triple).
     """
     if not isinstance(data, Mapping):
         raise MalformedAlgebraError("algebra document must be a JSON object")
@@ -578,8 +561,11 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
         isinstance(labels, list) and len(labels) == dim and all(isinstance(x, str) for x in labels)
     ):
         raise MalformedAlgebraError(f"'basis' must be a list of {dim} strings")
-    if not isinstance(data.get("family", {}), Mapping):
+    family = data.get("family", {})
+    if not isinstance(family, Mapping):
         raise MalformedAlgebraError("'family' must be a JSON object")
+    if not isinstance(family.get("family", ""), str):
+        raise MalformedAlgebraError("'family.family' must be a string")
     brackets = data.get("brackets", [])
     if not isinstance(brackets, list):
         raise MalformedAlgebraError("'brackets' must be a list")

@@ -32,7 +32,13 @@ from .algebra import (
     lower_central_series,
     to_json_dict,
 )
-from .completeness import build_r_m, diagonal_rank, is_complete
+from .completeness import (
+    build_r_m,
+    diagonal_rank,
+    is_complete,
+    max_torus,
+    semidirect_product,
+)
 from .contraction import (
     DivergentLimitError,
     contract_to_heisenberg,
@@ -128,6 +134,11 @@ def _cmd_gen(args) -> int:
 
 
 def _invariant_data(algebra: LieAlgebra, label: str) -> dict:
+    """The invariant panel of one algebra.
+
+    `rank` is the diagonal rank in the given basis: the torus rank for the
+    families' adapted bases, only a lower bound for an `--in` file.
+    """
     series = lower_central_series(algebra)
     nilpotent = series.nilindex is not None
     data = {
@@ -147,7 +158,10 @@ def _invariant_data(algebra: LieAlgebra, label: str) -> dict:
 def _cmd_invariants(args) -> int:
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
-            payload = json.load(handle)
+            try:
+                payload = json.load(handle)
+            except RecursionError:
+                raise MalformedAlgebraError("input JSON is nested too deeply") from None
         algebra = from_json_dict(payload)
         label = payload.get("family", {}).get("family", "input")
     else:
@@ -272,7 +286,8 @@ def _cmd_check(args) -> int:
         f"rank {report.ranks[0]} -> {report.ranks[1]})",
     )
 
-    rank = diagonal_rank(target)
+    torus = max_torus(target)
+    rank = torus.dim
     b1 = betti1(target)
     bounds_ok = 2 < rank <= m + 1
     maximal_expected = len(q) == 1 and q[0] == m + 1
@@ -287,7 +302,7 @@ def _cmd_check(args) -> int:
         f"nonsplit with nonlinear characteristic sequence ({_fmt_ints(blocks.blocks)})",
     )
 
-    extension = build_r_m(m, q)
+    extension = semidirect_product(target, torus)
     certificate = is_complete(extension)
     record(
         certificate.is_complete and is_solvable(extension) and not is_nilpotent(extension),
@@ -302,12 +317,14 @@ def _cmd_check(args) -> int:
 
 
 def _table_row(spec: tuple[int, tuple[int, ...]]) -> dict:
+    """One table row; in the adapted basis `rank` is the torus rank."""
     m, q = spec
     algebra = make_g_m_q(m, q) if q else make_g_m(m)
     series = lower_central_series(algebra)
-    rank = diagonal_rank(algebra)
+    torus = max_torus(algebra)
+    rank = torus.dim
     b1 = betti1(algebra)
-    certificate = is_complete(build_r_m(m, q))
+    certificate = is_complete(semidirect_product(algebra, torus))
     return {
         "m": m,
         "q": list(q),

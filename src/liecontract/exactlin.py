@@ -11,8 +11,6 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
-Rational = Fraction
-
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
@@ -249,10 +247,6 @@ class Subspace:
         return sub
 
     @classmethod
-    def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim)
-
-    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         eye = Matrix.identity(ambient_dim)
         return cls(ambient_dim, eye.entries)
@@ -271,25 +265,11 @@ class Subspace:
             )
 
     def contains(self, vector: Iterable) -> bool:
-        vec = list(_coerce_vector(vector))
-        if len(vec) != self.ambient_dim:
-            raise DimensionError("vector length does not match ambient dimension")
-        for row in self.basis:
-            lead = next(c for c, v in enumerate(row) if v)
-            coeff = vec[lead]
-            if coeff:
-                for c, v in enumerate(row):
-                    if v:
-                        vec[c] -= coeff * v
-        return not any(vec)
+        return Subspace(self.ambient_dim, self.basis + (vector,)).dim == self.dim
 
     def is_subset(self, other: "Subspace") -> bool:
         self._check_ambient(other)
         return all(other.contains(row) for row in self.basis)
-
-    def sum(self, other: "Subspace") -> "Subspace":
-        self._check_ambient(other)
-        return Subspace(self.ambient_dim, self.basis + other.basis)
 
     def __eq__(self, other) -> bool:
         return (

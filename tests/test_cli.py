@@ -1,12 +1,17 @@
+import contextlib
+import copy
+import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from liecontract.algebra import from_json_dict
+from liecontract.algebra import from_json_dict, to_json_dict
 from liecontract.cli import THREADS_ENV, _worker_count, run
-from liecontract.families import make_g_m_q
+from liecontract.families import FamilySpec, make_g_m_q
 
 
 def out_of(capsys):
@@ -108,11 +113,14 @@ HEISENBERG = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
             ]}),
             "duplicate bracket entry for (i, j) = (1, 2)",
         ),
+        ("[" * 100000, "nested too deeply"),
+        (json.dumps({"dim": 3, "family": {"family": [1, 2]}}), "'family.family' must be a string"),
     ],
     ids=[
         "truncated", "unparseable-coefficient", "float-coefficient", "missing-dim",
         "string-dim", "negative-dim", "not-an-object", "short-basis", "family-not-object",
         "i-not-below-j", "target-out-of-range", "jacobi-violation", "duplicate-pair",
+        "deeply-nested", "family-label-not-string",
     ],
 )
 def test_invariants_rejects_malformed_input(tmp_path, capsys, text, message):
@@ -130,6 +138,70 @@ def test_invariants_accepts_its_own_heisenberg_document(tmp_path, capsys):
     source.write_text(json.dumps(HEISENBERG))
     assert run(["invariants", "--in", str(source)]) == 0
     assert "der_dim: 6" in out_of(capsys).splitlines()
+
+
+FUZZ_PAYLOADS = [
+    to_json_dict(spec.build(), family=spec.metadata())
+    for spec in (
+        FamilySpec("gm", m=4),
+        FamilySpec("gmq", m=4, q_list=(3, 5)),
+        FamilySpec("filiform", n=6),
+        FamilySpec("heisenberg", m=4),
+    )
+]
+MUTATIONS = ("drop-key", "retype", "swap-ij", "duplicate-bracket", "perturb-coefficient", "truncate")
+RETYPED = st.sampled_from([None, True, 1.5, "x", "", [], {}, -1, 0, 10**6])
+
+
+def mutated_payload(data, payload, mutation) -> str:
+    """One mutation of a valid `gen` payload, as the text of the input file."""
+    doc = copy.deepcopy(payload)
+    brackets = doc["brackets"]
+    if mutation == "truncate":
+        text = json.dumps(doc)
+        return text[: data.draw(st.integers(0, len(text) - 1))]
+    if mutation in ("drop-key", "retype"):
+        entry = data.draw(st.sampled_from(brackets))
+        holder = data.draw(st.sampled_from([doc, doc["family"], entry, entry["coeffs"]]))
+        key = data.draw(st.sampled_from(sorted(holder)))
+        if mutation == "drop-key":
+            del holder[key]
+        else:
+            holder[key] = data.draw(RETYPED)
+    elif mutation == "swap-ij":
+        entry = data.draw(st.sampled_from(brackets))
+        entry["i"], entry["j"] = entry["j"], entry["i"]
+    elif mutation == "duplicate-bracket":
+        brackets.append(copy.deepcopy(data.draw(st.sampled_from(brackets))))
+    else:
+        coeffs = data.draw(st.sampled_from(brackets))["coeffs"]
+        key = data.draw(st.sampled_from(sorted(coeffs)))
+        coeffs[key] = str(Fraction(coeffs[key]) + data.draw(st.integers(1, 3)))
+    return json.dumps(doc)
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "algebra.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    payload=st.sampled_from(FUZZ_PAYLOADS),
+    mutation=st.sampled_from(MUTATIONS),
+    data=st.data(),
+)
+def test_invariants_survives_mutated_input(fuzz_path, payload, mutation, data):
+    fuzz_path.write_text(mutated_payload(data, payload, mutation))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(["invariants", "--in", str(fuzz_path)])
+    assert code in (0, 1, 2)
+    if mutation in ("swap-ij", "duplicate-bracket"):
+        assert code == 2
+    if code == 2:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:")
 
 
 def test_contract_emits_exponent_document(capsys):

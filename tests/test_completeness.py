@@ -5,7 +5,9 @@ import pytest
 from liecontract.algebra import (
     betti1,
     center,
+    check_jacobi,
     derivations,
+    is_derivation,
     is_nilpotent,
     is_solvable,
 )
@@ -18,7 +20,9 @@ from liecontract.completeness import (
     semidirect_product,
     weight_system,
 )
+from liecontract.exactlin import Matrix
 from liecontract.families import (
+    all_q_lists,
     make_abelian,
     make_g_m,
     make_g_m_q,
@@ -29,6 +33,14 @@ from liecontract.families import (
 
 def unit(n, i):
     return [Fraction(1) if c == i else Fraction(0) for c in range(n)]
+
+
+# gm and gm(q..) for m = 4..6 with at most two cuts: the `table --m 4..6` grid.
+GRID = [
+    make_g_m_q(m, q) if q else make_g_m(m)
+    for m in (4, 5, 6)
+    for q in [()] + all_q_lists(m, 2)
+]
 
 
 def test_weight_system_of_abelian_is_unconstrained():
@@ -101,9 +113,17 @@ def test_max_torus_of_abelian_is_everything():
     )
 
 
-def test_max_torus_generators_are_rechecked_derivations():
-    torus = max_torus(make_g_m(5))
-    assert torus.dim == 2
+def test_max_torus_generators_are_derivations():
+    for g in GRID:
+        for w in max_torus(g).generators:
+            diag = Matrix([[w[r] if r == c else 0 for c in range(g.dim)] for r in range(g.dim)])
+            assert is_derivation(g, diag)
+
+
+def test_torus_extension_satisfies_jacobi():
+    comparison = [make_model_filiform(6), make_heisenberg_plus_abelian(4), make_abelian(3)]
+    for g in GRID + comparison:
+        assert check_jacobi(semidirect_product(g, max_torus(g))).ok
 
 
 def test_semidirect_with_empty_torus_is_identity():

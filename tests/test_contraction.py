@@ -1,14 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liecontract.algebra import center, derived_subalgebra
+from liecontract.algebra import center, check_jacobi, derived_subalgebra
 from liecontract.contraction import (
+    DIRECTIONS,
     DivergentLimitError,
     ExponentVector,
-    ParametricLaw,
     check_redundancy,
     contract_to_heisenberg,
     limit_law,
@@ -25,6 +25,7 @@ from liecontract.families import (
     make_g_m,
     make_g_m_q,
     make_heisenberg_plus_abelian,
+    make_model_filiform,
 )
 from oracles import forward_exponents
 
@@ -89,7 +90,6 @@ def test_scale_law_exponent_pattern():
     for (i, j, k, _, e) in law.entries:
         if k == 8:
             assert e == 0
-    assert law.exponent_range() == (-1, 0)
 
 
 def test_scale_law_zero_vector_keeps_everything():
@@ -121,6 +121,33 @@ def test_limit_is_the_cut_family(m):
     for q in all_q_lists(m, 2):
         limit = limit_law(scale_law(g, solve_exponents(m, q)))
         assert limit == make_g_m_q(m, q)
+
+
+LIMIT_SOURCES = {
+    "g4": make_g_m(4),
+    "g4(4)": make_g_m_q(4, (4,)),
+    "g5": make_g_m(5),
+    "g5(3,6)": make_g_m_q(5, (3, 6)),
+    "L6": make_model_filiform(6),
+    "h3+C2": make_heisenberg_plus_abelian(4),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    name=st.sampled_from(sorted(LIMIT_SOURCES)),
+    direction=st.sampled_from(DIRECTIONS),
+    data=st.data(),
+)
+def test_limit_of_any_diagonal_scaling_is_lie(name, direction, data):
+    """limit_law does not sweep Jacobi; the limit of a scaled Lie law is Lie."""
+    L = LIMIT_SOURCES[name]
+    a = data.draw(st.lists(st.integers(-3, 3), min_size=L.dim, max_size=L.dim))
+    try:
+        limit = limit_law(scale_law(L, ExponentVector(tuple(a)), direction))
+    except DivergentLimitError:
+        return
+    assert check_jacobi(limit).ok
 
 
 def test_divergent_direction_names_the_entry():
@@ -196,7 +223,6 @@ def test_parametric_law_serialization():
     assert doc["dim"] == 9
     assert {"i": 1, "j": 3, "k": 4, "c": "1", "e": -1} in doc["entries"]
     assert {"i": 4, "j": 5, "k": 9, "c": "1", "e": 0} in doc["entries"]
-    assert ParametricLaw(dim=2, entries=()).exponent_range() == (0, 0)
 
 
 def test_exponent_vector_length():
