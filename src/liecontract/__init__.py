@@ -23,7 +23,6 @@ from .algebra import (
     derivations,
     derived_series,
     derived_subalgebra,
-    from_json,
     from_json_dict,
     from_maurer_cartan,
     has_abelian_direct_factor,
@@ -31,15 +30,10 @@ from .algebra import (
     is_nilpotent,
     is_solvable,
     lower_central_series,
-    nilindex,
-    series_term,
-    to_json,
     to_json_dict,
 )
 from .completeness import (
     CompletenessCertificate,
-    Torus,
-    WeightSystem,
     build_r_m,
     diagonal_rank,
     is_complete,
@@ -49,11 +43,10 @@ from .completeness import (
 )
 from .contraction import (
     DivergentLimitError,
-    ExponentVector,
     NecessaryConditionsReport,
     ParametricLaw,
     check_redundancy,
-    contract_to_heisenberg,
+    heisenberg_exponents,
     limit_law,
     necessary_conditions,
     scale_law,

@@ -8,7 +8,6 @@ rationals with no rounding anywhere.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -311,30 +310,6 @@ def derived_series(L: LieAlgebra) -> SeriesReport:
     return _descending_series(L, lambda term: bracket_subspaces(L, term, term))
 
 
-def series_term(report: SeriesReport, index: int, convention: str = "C1") -> Subspace:
-    """Term C^index of a series report under the chosen indexing convention.
-
-    "C1" reads terms[0] as C^1 (the whole algebra is the first term), "C0"
-    reads terms[0] as C^0.  Indices past stabilization return the last term.
-    """
-    if convention == "C1":
-        position = index - 1
-    elif convention == "C0":
-        position = index
-    else:
-        raise ValueError(f"unknown series convention {convention!r}")
-    if position < 0:
-        raise ValueError(f"index {index} has no term under convention {convention}")
-    return report.terms[min(position, len(report.terms) - 1)]
-
-
-def nilindex(L: LieAlgebra) -> int:
-    report = lower_central_series(L)
-    if report.nilindex is None:
-        raise NotNilpotentError("lower central series stabilizes at a nonzero subspace")
-    return report.nilindex
-
-
 def is_nilpotent(L: LieAlgebra) -> bool:
     return lower_central_series(L).nilindex is not None
 
@@ -596,10 +571,3 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
         )
     return algebra
 
-
-def to_json(L: LieAlgebra, family: Mapping | None = None) -> str:
-    return json.dumps(to_json_dict(L, family), indent=2)
-
-
-def from_json(text: str) -> LieAlgebra:
-    return from_json_dict(json.loads(text))

@@ -41,8 +41,8 @@ from .completeness import (
 )
 from .contraction import (
     DivergentLimitError,
-    contract_to_heisenberg,
     check_redundancy,
+    heisenberg_exponents,
     necessary_conditions,
     scale_law,
     limit_law,
@@ -195,7 +195,7 @@ def _cmd_contract(args) -> int:
     if m is None:
         raise InvalidFamilyError("contract needs --m")
     if args.heisenberg:
-        exponents, _ = contract_to_heisenberg(m)
+        exponents = heisenberg_exponents(m)
         source = make_g_m_q(m, q) if q else make_g_m(m)
         source_label = f"g{m}({_fmt_ints(q)})" if q else f"g{m}"
         target = make_heisenberg_plus_abelian(m)
@@ -217,7 +217,7 @@ def _cmd_contract(args) -> int:
             "q": list(q),
             "n1": args.n1,
             "n2": args.n2,
-            "a": list(exponents.a),
+            "a": list(exponents),
             "law": law.to_json_dict(),
             "limit": to_json_dict(limit),
             "target": target_label,
@@ -228,7 +228,7 @@ def _cmd_contract(args) -> int:
         lines = [
             f"source: {source_label}",
             f"target: {target_label}",
-            f"exponents: {_fmt_ints(exponents.a)}",
+            f"exponents: {_fmt_ints(exponents)}",
             "law entries (i,j,k,c,e):",
         ]
         for (i, j, k, c, e) in law.entries:
@@ -287,7 +287,7 @@ def _cmd_check(args) -> int:
     )
 
     torus = max_torus(target)
-    rank = torus.dim
+    rank = len(torus)
     b1 = betti1(target)
     bounds_ok = 2 < rank <= m + 1
     maximal_expected = len(q) == 1 and q[0] == m + 1
@@ -322,7 +322,7 @@ def _table_row(spec: tuple[int, tuple[int, ...]]) -> dict:
     algebra = make_g_m_q(m, q) if q else make_g_m(m)
     series = lower_central_series(algebra)
     torus = max_torus(algebra)
-    rank = torus.dim
+    rank = len(torus)
     b1 = betti1(algebra)
     certificate = is_complete(semidirect_product(algebra, torus))
     return {
@@ -384,6 +384,8 @@ def _worker_count(setting: str | None, jobs: int, cpus: int | None) -> int:
 
 
 def _cmd_table(args) -> int:
+    if args.max_k < 0:
+        raise InvalidFamilyError(f"--max-k must be a nonnegative integer, got {args.max_k}")
     specs: list[tuple[int, tuple[int, ...]]] = []
     for m in _parse_m_range(args.m):
         specs.append((m, ()))

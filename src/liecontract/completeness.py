@@ -14,40 +14,25 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import LieAlgebra, center, derivations
-from .exactlin import nullspace_of_rows
+from .exactlin import Subspace, nullspace_of_rows
 from .families import make_g_m, make_g_m_q
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class WeightSystem:
-    """Equations w_i + w_j = w_k read off the tensor, with their solution space."""
+def weight_system(L: LieAlgebra) -> Subspace:
+    """Solutions w of w_i + w_j = w_k, one equation per nonzero tensor entry.
 
-    source_dim: int
-    equations: tuple[tuple[int, int, int], ...]
-    solution_basis: tuple[tuple[Fraction, ...], ...]
-    rank: int
-
-
-def weight_system(L: LieAlgebra) -> WeightSystem:
-    """One equation per nonzero tensor entry; solutions in canonical echelon form."""
-    equations = []
+    The solution space comes back in canonical echelon form.
+    """
     rows = []
     for (i, j, k, _) in L.entries():
-        equations.append((i, j, k))
         row: dict[int, Fraction] = {}
         for index, sign in ((i, _ONE), (j, _ONE), (k, -_ONE)):
             row[index] = row.get(index, _ZERO) + sign
         rows.append({c: v for c, v in row.items() if v})
-    solutions = nullspace_of_rows(rows, L.dim)
-    return WeightSystem(
-        source_dim=L.dim,
-        equations=tuple(equations),
-        solution_basis=solutions.basis,
-        rank=solutions.dim,
-    )
+    return nullspace_of_rows(rows, L.dim)
 
 
 def diagonal_rank(L: LieAlgebra) -> int:
@@ -57,18 +42,7 @@ def diagonal_rank(L: LieAlgebra) -> int:
     the adapted bases of the families it equals the rank of a maximal torus;
     for an arbitrary basis (e.g. a JSON input) it is only a lower bound.
     """
-    return weight_system(L).rank
-
-
-@dataclass(frozen=True)
-class Torus:
-    """Commuting diagonal derivations, one weight vector per generator."""
-
-    generators: tuple[tuple[Fraction, ...], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.generators)
+    return weight_system(L).dim
 
 
 def _is_diagonal_derivation(L: LieAlgebra, w: Sequence[Fraction]) -> bool:
@@ -76,12 +50,12 @@ def _is_diagonal_derivation(L: LieAlgebra, w: Sequence[Fraction]) -> bool:
     return all(w[i] + w[j] == w[k] for (i, j, k, _) in L.entries())
 
 
-def max_torus(L: LieAlgebra) -> Torus:
-    """Torus spanned by the canonical weight-system solution basis."""
-    return Torus(generators=weight_system(L).solution_basis)
+def max_torus(L: LieAlgebra) -> tuple[tuple[Fraction, ...], ...]:
+    """Weight vectors of the torus generators: the canonical weight-system basis."""
+    return weight_system(L).basis
 
 
-def semidirect_product(L: LieAlgebra, T: Torus) -> LieAlgebra:
+def semidirect_product(L: LieAlgebra, torus: Sequence[Sequence[Fraction]]) -> LieAlgebra:
     """Extend L by the torus: [h_a, X_i] = w_a[i] X_i, [h_a, h_b] = 0.
 
     Torus coordinates come first in the product basis.  Raises ValueError when
@@ -92,15 +66,15 @@ def semidirect_product(L: LieAlgebra, T: Torus) -> LieAlgebra:
     derivations commute, and commuting derivations give a Lie semidirect
     product, so its Jacobi identity is not swept again.
     """
-    s = T.dim
+    s = len(torus)
     n = L.dim
-    for w in T.generators:
+    for w in torus:
         if len(w) != n:
             raise ValueError("torus generator length does not match algebra dimension")
         if not _is_diagonal_derivation(L, w):
             raise ValueError("torus generator is not a derivation of the algebra")
     tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a, w in enumerate(T.generators):
+    for a, w in enumerate(torus):
         for i, value in enumerate(w):
             if value:
                 tensor[(a, s + i)] = {s + i: value}
@@ -151,14 +125,14 @@ def is_complete(L: LieAlgebra) -> CompletenessCertificate:
     system = weight_system(L)
     weights: dict[tuple[Fraction, ...], int] = {}
     for i in range(L.dim):
-        weight = tuple(w[i] for w in system.solution_basis)
+        weight = tuple(w[i] for w in system.basis)
         weights[weight] = weights.get(weight, 0) + 1
     multiplicities = tuple(sorted(weights.items()))
     return CompletenessCertificate(
         center_dim=center(L).dim,
         der_dim=derivations(L).dim,
         algebra_dim=L.dim,
-        torus_dim=system.rank,
+        torus_dim=system.dim,
         weight_multiplicities=multiplicities,
     )
 

@@ -11,27 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from . import completeness
 from .algebra import LieAlgebra, center, derivations, derived_subalgebra
 from .exactlin import DimensionError
-from .families import InvalidFamilyError, deleted_chain_targets, make_g_m, validate_q_list
-
-DIRECTIONS = ("to-infinity", "to-zero")
+from .families import InvalidFamilyError, deleted_chain_targets, validate_q_list
 
 
 class DivergentLimitError(ValueError):
-    """A nonzero entry blows up in the requested limit direction."""
-
-
-@dataclass(frozen=True)
-class ExponentVector:
-    """Scaling exponents a, one per basis vector: f_t(X_i) = t^(a[i]) X_i."""
-
-    a: tuple[int, ...]
-
-    def __len__(self) -> int:
-        return len(self.a)
+    """A nonzero entry blows up as t -> infinity."""
 
 
 @dataclass(frozen=True)
@@ -71,13 +60,13 @@ def _affine_solution(m: int, minus_one_targets: set[int]) -> list[tuple[int, int
     return [a[i] for i in range(1, 2 * m + 2)]
 
 
-def _exponents_at(affine: list[tuple[int, int, int]], n1: int, n2: int) -> ExponentVector:
+def _exponents_at(affine: list[tuple[int, int, int]], n1: int, n2: int) -> tuple[int, ...]:
     """Evaluate the affine exponent triples at N1 = n1, N2 = n2."""
-    return ExponentVector(tuple(c0 + c1 * n1 + c2 * n2 for (c0, c1, c2) in affine))
+    return tuple(c0 + c1 * n1 + c2 * n2 for (c0, c1, c2) in affine)
 
 
-def solve_exponents(m: int, q_list: tuple[int, ...] = (), n1: int = 1, n2: int = 1) -> ExponentVector:
-    """Exponent vector reaching the cut family g_m(q..) from the uncut chain.
+def solve_exponents(m: int, q_list: tuple[int, ...] = (), n1: int = 1, n2: int = 1) -> tuple[int, ...]:
+    """Exponents a with f_t(X_i) = t^(a[i]) X_i reaching g_m(q..) from the uncut chain.
 
     The two parameters pin a_2 = n1 and a_3 = n2 (both remain free in the
     underlying system; when 3 is itself a cut target the same pinning applies
@@ -119,23 +108,16 @@ def check_redundancy(m: int, q_list: tuple[int, ...]) -> bool:
     return True
 
 
-def scale_law(L: LieAlgebra, a: ExponentVector, direction: str = "to-infinity") -> ParametricLaw:
+def scale_law(L: LieAlgebra, a: Sequence[int]) -> ParametricLaw:
     """Transport the law along f_t: entry (i,j,k) gains exponent a_i + a_j - a_k.
 
-    The sign convention matches pushing the law forward by f_t^(-1); with
-    direction "to-zero" all exponents are negated so that the limit operation
-    below always reads "drop negative exponents".
+    The sign convention matches pushing the law forward by f_t^(-1).  The
+    limit below is t -> infinity; for t -> 0, pass the negated exponents.
     """
-    if direction not in DIRECTIONS:
-        raise ValueError(f"direction must be one of {DIRECTIONS}")
     if len(a) != L.dim:
         raise DimensionError("exponent vector length does not match algebra dimension")
-    sign = 1 if direction == "to-infinity" else -1
-    entries = []
-    for (i, j, k, c) in L.entries():
-        e = sign * (a.a[i] + a.a[j] - a.a[k])
-        entries.append((i, j, k, c, e))
-    return ParametricLaw(dim=L.dim, entries=tuple(entries))
+    entries = tuple((i, j, k, c, a[i] + a[j] - a[k]) for (i, j, k, c) in L.entries())
+    return ParametricLaw(dim=L.dim, entries=entries)
 
 
 def limit_law(P: ParametricLaw) -> LieAlgebra:
@@ -163,8 +145,8 @@ def limit_law(P: ParametricLaw) -> LieAlgebra:
     return LieAlgebra(P.dim, tensor)
 
 
-def contract_to_heisenberg(m: int) -> tuple[ExponentVector, LieAlgebra]:
-    """Degenerate the uncut chain algebra all the way to Heisenberg plus C^2.
+def heisenberg_exponents(m: int) -> tuple[int, ...]:
+    """Exponents degenerating the uncut chain algebra all the way to Heisenberg plus C^2.
 
     Every chain bracket is scheduled for deletion (cut targets 3..2m-1 plus an
     extra -1 equation at 2m), so only the pairing brackets survive.
@@ -172,17 +154,14 @@ def contract_to_heisenberg(m: int) -> tuple[ExponentVector, LieAlgebra]:
     if m < 4:
         raise InvalidFamilyError("chain system requires m >= 4")
     targets = set(range(3, 2 * m + 1))
-    exponents = _exponents_at(_affine_solution(m, targets), 1, 1)
-    limit = limit_law(scale_law(make_g_m(m), exponents))
-    return exponents, limit
+    return _exponents_at(_affine_solution(m, targets), 1, 1)
 
 
 @dataclass(frozen=True)
 class NecessaryConditionsReport:
     """Dimension comparisons that any contraction source/limit pair must satisfy.
 
-    Each pair is (source value, limit value); verdicts are derived from the
-    stored dimensions on access.
+    Each pair is (source value, limit value).
     """
 
     der_dims: tuple[int, int]
@@ -190,51 +169,20 @@ class NecessaryConditionsReport:
     center_dims: tuple[int, int]
     ranks: tuple[int, int]
 
-    @staticmethod
-    def _verdict(ok_strict: bool, equal: bool) -> str:
-        if equal:
-            return "holds-with-equality"
-        return "holds" if ok_strict else "fails"
-
-    @property
-    def der_verdict(self) -> str:
-        """Derivation algebra must grow: dim Der(source) < dim Der(limit)."""
-        return self._verdict(self.der_dims[0] < self.der_dims[1], self.der_dims[0] == self.der_dims[1])
-
-    @property
-    def derived_verdict(self) -> str:
-        """Derived subalgebra must shrink or stay: dim [limit,limit] <= dim [source,source]."""
-        return self._verdict(self.derived_dims[1] < self.derived_dims[0], self.derived_dims[0] == self.derived_dims[1])
-
-    @property
-    def center_verdict(self) -> str:
-        """Center must grow or stay: dim Z(limit) >= dim Z(source)."""
-        return self._verdict(self.center_dims[1] > self.center_dims[0], self.center_dims[0] == self.center_dims[1])
-
-    @property
-    def rank_verdict(self) -> str:
-        """Diagonal rank must grow or stay: rank(limit) >= rank(source)."""
-        return self._verdict(self.ranks[1] > self.ranks[0], self.ranks[0] == self.ranks[1])
-
     def all_hold(self, strict_der: bool = False) -> bool:
-        """True when every condition holds; strict_der demands a strict Der increase."""
-        if "fails" in (self.der_verdict, self.derived_verdict, self.center_verdict, self.rank_verdict):
-            return False
-        if strict_der and self.der_verdict != "holds":
-            return False
-        return True
+        """True when every comparison holds; strict_der demands a strict Der increase.
 
-    def to_json_dict(self) -> dict:
-        return {
-            "der_dims": list(self.der_dims),
-            "der_verdict": self.der_verdict,
-            "derived_dims": list(self.derived_dims),
-            "derived_verdict": self.derived_verdict,
-            "center_dims": list(self.center_dims),
-            "center_verdict": self.center_verdict,
-            "ranks": list(self.ranks),
-            "rank_verdict": self.rank_verdict,
-        }
+        dim Der grows, dim [g,g] shrinks or stays, the center and the diagonal
+        rank grow or stay.
+        """
+        der_mu, der_lam = self.der_dims
+        der_ok = der_mu < der_lam if strict_der else der_mu <= der_lam
+        return (
+            der_ok
+            and self.derived_dims[1] <= self.derived_dims[0]
+            and self.center_dims[1] >= self.center_dims[0]
+            and self.ranks[1] >= self.ranks[0]
+        )
 
 
 def necessary_conditions(mu: LieAlgebra, lam: LieAlgebra) -> NecessaryConditionsReport:

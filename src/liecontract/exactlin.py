@@ -130,10 +130,6 @@ class Matrix:
     def identity(cls, n: int) -> "Matrix":
         return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], ncols=n)
 
-    def __getitem__(self, key: tuple[int, int]) -> Fraction:
-        i, j = key
-        return self.entries[i][j]
-
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")

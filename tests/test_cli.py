@@ -305,6 +305,19 @@ def test_table_rejects_bad_range(capsys):
     assert "cannot parse m range" in capsys.readouterr().err
 
 
+def test_table_rejects_negative_max_k(capsys):
+    assert run(["table", "--m", "4..5", "--max-k", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --max-k must be a nonnegative integer, got -1\n"
+
+
+def test_table_max_k_zero_lists_the_uncut_rows(capsys):
+    assert run(["table", "--m", "4..5", "--max-k", "0"]) == 0
+    rows = out_of(capsys).splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["4", ""], ["5", ""]]
+
+
 def test_table_output_is_byte_stable(tmp_path):
     first = tmp_path / "a.csv"
     second = tmp_path / "b.csv"

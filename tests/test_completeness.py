@@ -12,7 +12,6 @@ from liecontract.algebra import (
     is_solvable,
 )
 from liecontract.completeness import (
-    Torus,
     build_r_m,
     diagonal_rank,
     is_complete,
@@ -44,15 +43,13 @@ GRID = [
 
 
 def test_weight_system_of_abelian_is_unconstrained():
-    system = weight_system(make_abelian(4))
-    assert system.equations == ()
-    assert system.rank == 4
+    assert weight_system(make_abelian(4)).dim == 4
 
 
 def test_weight_system_of_g4():
     system = weight_system(make_g_m(4))
-    assert system.rank == 2
-    assert system.solution_basis == (
+    assert system.dim == 2
+    assert system.basis == (
         tuple(Fraction(v) for v in (1, 0, 1, 2, 3, 4, 5, 6, 5)),
         tuple(Fraction(v) for v in (0, 1, 1, 1, 1, 1, 1, 1, 2)),
     )
@@ -60,8 +57,8 @@ def test_weight_system_of_g4():
 
 def test_weight_system_of_single_cut():
     system = weight_system(make_g_m_q(4, (4,)))
-    assert system.rank == 3
-    for w in system.solution_basis:
+    assert system.dim == 3
+    for w in system.basis:
         assert 2 * w[3] == w[1] + w[5]
 
 
@@ -77,10 +74,8 @@ def test_weight_system_of_single_cut():
     ids=["g4", "g4(4)", "g5(3,6)", "h3+C2", "L6"],
 )
 def test_solutions_satisfy_every_equation(algebra):
-    system = weight_system(algebra)
-    assert len(system.equations) == len(list(algebra.entries()))
-    for w in system.solution_basis:
-        for (i, j, k) in system.equations:
+    for w in weight_system(algebra).basis:
+        for (i, j, k, _) in algebra.entries():
             assert w[i] + w[j] == w[k]
 
 
@@ -104,9 +99,7 @@ def test_rank_is_bounded_by_betti1():
 
 
 def test_max_torus_of_abelian_is_everything():
-    torus = max_torus(make_abelian(3))
-    assert torus.dim == 3
-    assert torus.generators == (
+    assert max_torus(make_abelian(3)) == (
         tuple(unit(3, 0)),
         tuple(unit(3, 1)),
         tuple(unit(3, 2)),
@@ -115,7 +108,7 @@ def test_max_torus_of_abelian_is_everything():
 
 def test_max_torus_generators_are_derivations():
     for g in GRID:
-        for w in max_torus(g).generators:
+        for w in max_torus(g):
             diag = Matrix([[w[r] if r == c else 0 for c in range(g.dim)] for r in range(g.dim)])
             assert is_derivation(g, diag)
 
@@ -128,15 +121,15 @@ def test_torus_extension_satisfies_jacobi():
 
 def test_semidirect_with_empty_torus_is_identity():
     g4 = make_g_m(4)
-    assert semidirect_product(g4, Torus(generators=())) == g4
+    assert semidirect_product(g4, ()) == g4
 
 
 def test_semidirect_rejects_non_derivations():
     heis = make_model_filiform(3)
     with pytest.raises(ValueError, match="not a derivation"):
-        semidirect_product(heis, Torus(generators=((Fraction(1), Fraction(0), Fraction(0)),)))
+        semidirect_product(heis, ((Fraction(1), Fraction(0), Fraction(0)),))
     with pytest.raises(ValueError, match="length"):
-        semidirect_product(heis, Torus(generators=((Fraction(1), Fraction(0)),)))
+        semidirect_product(heis, ((Fraction(1), Fraction(0)),))
 
 
 def test_extension_of_uncut_chain():

@@ -1,4 +1,4 @@
-from fractions import Fraction
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from liecontract.algebra import center, check_jacobi, derived_subalgebra
 from liecontract.contraction import (
-    DIRECTIONS,
     DivergentLimitError,
-    ExponentVector,
+    NecessaryConditionsReport,
     check_redundancy,
-    contract_to_heisenberg,
+    heisenberg_exponents,
     limit_law,
     necessary_conditions,
     scale_law,
@@ -33,8 +32,8 @@ PARAM_CHOICES = [(1, 1), (2, 5), (0, 3)]
 
 
 def test_exponents_single_cut_examples():
-    assert solve_exponents(4, (4,)).a == (0, 1, 1, 2, 2, 3, 3, 3, 4)
-    assert solve_exponents(4, (5,)).a == (0, 1, 1, 1, 2, 2, 2, 2, 3)
+    assert solve_exponents(4, (4,)) == (0, 1, 1, 2, 2, 3, 3, 3, 4)
+    assert solve_exponents(4, (5,)) == (0, 1, 1, 1, 2, 2, 2, 2, 3)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
@@ -42,14 +41,14 @@ def test_exponents_match_forward_substitution(m):
     for q in all_q_lists(m, 2):
         deleted = deleted_chain_targets(m, q)
         for (n1, n2) in PARAM_CHOICES:
-            assert solve_exponents(m, q, n1, n2).a == forward_exponents(m, deleted, n1, n2)
+            assert solve_exponents(m, q, n1, n2) == forward_exponents(m, deleted, n1, n2)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_chain_offsets_sit_exactly_on_the_cuts(m):
     for q in all_q_lists(m, 2):
         deleted = deleted_chain_targets(m, q)
-        a = solve_exponents(m, q).a
+        a = solve_exponents(m, q)
         for j in range(3, 2 * m + 1):
             offset = a[0] + a[j - 2] - a[j - 1]
             assert offset == (-1 if j in deleted else 0)
@@ -57,10 +56,10 @@ def test_chain_offsets_sit_exactly_on_the_cuts(m):
 
 @given(n1=st.integers(min_value=-3, max_value=5), n2=st.integers(min_value=-3, max_value=5))
 def test_exponents_are_affine_in_the_parameters(n1, n2):
-    base = solve_exponents(5, (3, 6), 0, 0).a
-    du = solve_exponents(5, (3, 6), 1, 0).a
-    dv = solve_exponents(5, (3, 6), 0, 1).a
-    got = solve_exponents(5, (3, 6), n1, n2).a
+    base = solve_exponents(5, (3, 6), 0, 0)
+    du = solve_exponents(5, (3, 6), 1, 0)
+    dv = solve_exponents(5, (3, 6), 0, 1)
+    got = solve_exponents(5, (3, 6), n1, n2)
     assert got == tuple(b + n1 * (u - b) + n2 * (v - b) for b, u, v in zip(base, du, dv))
 
 
@@ -74,7 +73,7 @@ def test_small_m_rejected():
     with pytest.raises(InvalidFamilyError):
         solve_exponents(3)
     with pytest.raises(InvalidFamilyError):
-        contract_to_heisenberg(3)
+        heisenberg_exponents(3)
 
 
 @pytest.mark.parametrize("m,q", [(4, (4,)), (5, (3, 6)), (6, (5,)), (7, (3, 5, 8))])
@@ -94,7 +93,7 @@ def test_scale_law_exponent_pattern():
 
 def test_scale_law_zero_vector_keeps_everything():
     g4 = make_g_m(4)
-    law = scale_law(g4, ExponentVector((0,) * 9))
+    law = scale_law(g4, (0,) * 9)
     assert all(e == 0 for (_, _, _, _, e) in law.entries)
     assert limit_law(law) == g4
 
@@ -102,17 +101,15 @@ def test_scale_law_zero_vector_keeps_everything():
 def test_scale_law_to_zero_negates():
     g4 = make_g_m(4)
     a = solve_exponents(4, (4,))
-    forward = scale_law(g4, a, "to-infinity")
-    backward = scale_law(g4, a, "to-zero")
+    forward = scale_law(g4, a)
+    backward = scale_law(g4, tuple(-x for x in a))
     assert backward.entries == tuple((i, j, k, c, -e) for (i, j, k, c, e) in forward.entries)
 
 
 def test_scale_law_rejects_bad_input():
     g4 = make_g_m(4)
-    with pytest.raises(ValueError):
-        scale_law(g4, solve_exponents(4, (4,)), "sideways")
     with pytest.raises(DimensionError):
-        scale_law(g4, ExponentVector((0, 1, 2)))
+        scale_law(g4, (0, 1, 2))
 
 
 @pytest.mark.parametrize("m", [4, 5, 6, 7])
@@ -136,15 +133,17 @@ LIMIT_SOURCES = {
 @settings(max_examples=150, deadline=None)
 @given(
     name=st.sampled_from(sorted(LIMIT_SOURCES)),
-    direction=st.sampled_from(DIRECTIONS),
     data=st.data(),
 )
-def test_limit_of_any_diagonal_scaling_is_lie(name, direction, data):
-    """limit_law does not sweep Jacobi; the limit of a scaled Lie law is Lie."""
+def test_limit_of_any_diagonal_scaling_is_lie(name, data):
+    """limit_law does not sweep Jacobi; the limit of a scaled Lie law is Lie.
+
+    The exponent range is symmetric, so it covers t -> 0 (negated exponents) too.
+    """
     L = LIMIT_SOURCES[name]
     a = data.draw(st.lists(st.integers(-3, 3), min_size=L.dim, max_size=L.dim))
     try:
-        limit = limit_law(scale_law(L, ExponentVector(tuple(a)), direction))
+        limit = limit_law(scale_law(L, a))
     except DivergentLimitError:
         return
     assert check_jacobi(limit).ok
@@ -152,22 +151,23 @@ def test_limit_of_any_diagonal_scaling_is_lie(name, direction, data):
 
 def test_divergent_direction_names_the_entry():
     g4 = make_g_m(4)
-    law = scale_law(g4, solve_exponents(4, (4,)), "to-zero")
+    law = scale_law(g4, tuple(-x for x in solve_exponents(4, (4,))))
     with pytest.raises(DivergentLimitError, match=r"\(1,3,4\)"):
         limit_law(law)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
 def test_heisenberg_degeneration(m):
-    exponents, limit = contract_to_heisenberg(m)
-    assert exponents.a == (-1,) + (1,) * (2 * m - 1) + (2,)
+    exponents = heisenberg_exponents(m)
+    assert exponents == (-1,) + (1,) * (2 * m - 1) + (2,)
+    limit = limit_law(scale_law(make_g_m(m), exponents))
     assert limit == make_heisenberg_plus_abelian(m)
     assert derived_subalgebra(limit).dim == 1
     assert center(limit).dim == 3
 
 
 def test_heisenberg_exponents_also_degenerate_the_cut_families():
-    exponents, _ = contract_to_heisenberg(4)
+    exponents = heisenberg_exponents(4)
     for q in all_q_lists(4, 2):
         limit = limit_law(scale_law(make_g_m_q(4, q), exponents))
         assert limit == make_heisenberg_plus_abelian(4)
@@ -176,10 +176,10 @@ def test_heisenberg_exponents_also_degenerate_the_cut_families():
 def test_necessary_conditions_on_identity_pair():
     g4 = make_g_m(4)
     report = necessary_conditions(g4, g4)
-    assert report.der_verdict == "holds-with-equality"
-    assert report.derived_verdict == "holds-with-equality"
-    assert report.center_verdict == "holds-with-equality"
-    assert report.rank_verdict == "holds-with-equality"
+    assert report.der_dims == (15, 15)
+    assert report.derived_dims == (7, 7)
+    assert report.center_dims == (2, 2)
+    assert report.ranks == (2, 2)
     assert report.all_hold()
     assert not report.all_hold(strict_der=True)
 
@@ -190,10 +190,6 @@ def test_necessary_conditions_on_single_cut():
     assert report.derived_dims == (7, 5)
     assert report.center_dims == (2, 2)
     assert report.ranks == (2, 3)
-    assert report.der_verdict == "holds"
-    assert report.derived_verdict == "holds"
-    assert report.center_verdict == "holds-with-equality"
-    assert report.rank_verdict == "holds"
     assert report.all_hold(strict_der=True)
 
 
@@ -208,8 +204,31 @@ def test_necessary_conditions_against_abelian_limit():
 
 def test_necessary_conditions_detect_a_non_contraction():
     report = necessary_conditions(make_g_m_q(4, (4,)), make_g_m(4))
-    assert report.der_verdict == "fails"
+    assert report.der_dims == (22, 15)
     assert not report.all_hold()
+
+
+# Every source/limit pair equal: each condition sits exactly on its boundary.
+EQUAL_REPORT = NecessaryConditionsReport(
+    der_dims=(15, 15), derived_dims=(7, 7), center_dims=(2, 2), ranks=(2, 2)
+)
+
+
+@pytest.mark.parametrize(
+    "field,pair",
+    [("der_dims", (15, 14)), ("derived_dims", (7, 8)), ("center_dims", (2, 1)), ("ranks", (2, 1))],
+    ids=["der-shrinks", "derived-grows", "center-shrinks", "rank-drops"],
+)
+def test_all_hold_fails_when_one_condition_breaks(field, pair):
+    broken = dataclasses.replace(EQUAL_REPORT, **{field: pair})
+    assert not broken.all_hold()
+    assert not broken.all_hold(strict_der=True)
+
+
+def test_equal_der_fails_only_when_strict():
+    assert EQUAL_REPORT.all_hold()
+    assert not EQUAL_REPORT.all_hold(strict_der=True)
+    assert dataclasses.replace(EQUAL_REPORT, der_dims=(15, 16)).all_hold(strict_der=True)
 
 
 def test_necessary_conditions_need_matching_dimension():
@@ -227,4 +246,3 @@ def test_parametric_law_serialization():
 
 def test_exponent_vector_length():
     assert len(solve_exponents(5, (3,))) == 11
-    assert len(ExponentVector((Fraction(0), Fraction(1)))) == 2

@@ -7,7 +7,6 @@ from liecontract.algebra import (
     derived_subalgebra,
     has_abelian_direct_factor,
     lower_central_series,
-    nilindex,
 )
 from liecontract.exactlin import Subspace
 from liecontract.families import (
@@ -100,7 +99,7 @@ def test_derived_dimension_follows_the_cut_count(m):
 def test_cut_family_nilindex_never_exceeds_the_chain():
     for m in (4, 5):
         for q in all_q_lists(m, 2):
-            assert nilindex(make_g_m_q(m, q)) <= 2 * m - 1
+            assert lower_central_series(make_g_m_q(m, q)).nilindex <= 2 * m - 1
 
 
 def test_filiform_smallest_is_heisenberg():
@@ -109,7 +108,7 @@ def test_filiform_smallest_is_heisenberg():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7])
 def test_filiform_nilindex_is_maximal(n):
-    assert nilindex(make_model_filiform(n)) == n - 1
+    assert lower_central_series(make_model_filiform(n)).nilindex == n - 1
 
 
 def test_filiform_requires_n_at_least_3():
