@@ -1,14 +1,17 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with `fractions.Fraction` scalars, so results are exact
-and reproducible: reduced row echelon form is the canonical one (unique for a
-given row space), subspaces compare equal iff their canonical bases are
-identical, and no pivot selection depends on magnitudes.
+Everything here takes and returns `fractions.Fraction` scalars, so results are
+exact and reproducible: reduced row echelon form is the canonical one (unique
+for a given row space), subspaces compare equal iff their canonical bases are
+identical, and no pivot selection depends on magnitudes.  The elimination core
+clears each row's denominators and works on primitive integer rows internally
+(fraction-free elimination); it returns the same canonical `Fraction` RREF.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Sequence
 
 _ZERO = Fraction(0)
@@ -34,41 +37,76 @@ def _coerce_vector(vector: Iterable) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # Sparse elimination core.  Rows are dicts {column: nonzero Fraction}; the
 # reduced form is unique, so every caller sees canonical output regardless of
-# the order rows arrive in.
+# the order rows arrive in.  In between, each row is held as a primitive
+# integer multiple of itself (denominators cleared, content divided out):
+# a row operation costs integer products and one content gcd, where Fraction
+# arithmetic pays a gcd for every entry.
 # ---------------------------------------------------------------------------
 
 
-def _eliminate(row: dict[int, Fraction], lead: int, pivot_row: dict[int, Fraction]) -> None:
-    factor = row.pop(lead)
-    for col, val in pivot_row.items():
-        if col == lead:
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide out the content (gcd of the entries) of a nonzero integer row."""
+    g = gcd(*row.values())
+    if g == 1:
+        return row
+    return {c: v // g for c, v in row.items()}
+
+
+def _integer_row(raw: Mapping[int, Fraction]) -> dict[int, int]:
+    """The primitive integer multiple of a rational row, zeros dropped."""
+    den = lcm(*(v.denominator for v in raw.values()))
+    row = {c: v.numerator * (den // v.denominator) for c, v in raw.items() if v.numerator}
+    return _primitive(row) if row else row
+
+
+def _eliminate(row: dict[int, int], col: int, pivot_row: dict[int, int]) -> dict[int, int]:
+    """Primitive a*row - b*pivot_row with a > 0 and column `col` cleared.
+
+    a and b are the two entries in `col` divided by their gcd.  `row` may be
+    updated in place; callers use only the returned row.
+    """
+    r, p = row.pop(col), pivot_row[col]
+    g = gcd(r, p)
+    a, b = p // g, r // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        row = {c: a * v for c, v in row.items()}
+    for c, v in pivot_row.items():
+        if c == col:
             continue
-        new = row.get(col, _ZERO) - factor * val
+        new = row.get(c, 0) - b * v
         if new:
-            row[col] = new
+            row[c] = new
         else:
-            row.pop(col, None)
+            row.pop(c, None)
+    return _primitive(row) if row else row
+
 
 def _reduce_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
     """Row-reduce sparse rows; returns {pivot column: normalized row}."""
-    pivots: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, dict[int, int]] = {}  # echelon form, primitive integer rows
     for raw in rows:
-        row = {c: v for c, v in raw.items() if v}
+        row = _integer_row(raw)
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
             if pivot_row is None:
-                inv = row[lead]
-                pivots[lead] = {c: v / inv for c, v in row.items()}
+                pivots[lead] = row
                 break
-            _eliminate(row, lead, pivot_row)
-    # Back-eliminate so every pivot column is zero in all other rows.
+            row = _eliminate(row, lead, pivot_row)
+    # Back-substitute from the last pivot up: the rows with later leads are
+    # already reduced, so clearing the pivot columns a row holds brings in no
+    # new ones.
     for lead in sorted(pivots, reverse=True):
-        pivot_row = pivots[lead]
-        for other_lead, other in pivots.items():
-            if other_lead < lead and lead in other:
-                _eliminate(other, lead, pivot_row)
-    return pivots
+        row = pivots[lead]
+        for col in [c for c in row if c != lead and c in pivots]:
+            row = _eliminate(row, col, pivots[col])
+        pivots[lead] = row
+    return {
+        lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
+        for lead, row in pivots.items()
+    }
 
 
 def _rows_from_dense(entries: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
@@ -146,12 +184,6 @@ class Matrix:
                             new[j] += a * b
             out.append(new)
         return Matrix(out, ncols=cols)
-
-    def matvec(self, vector: Sequence) -> tuple[Fraction, ...]:
-        vec = _coerce_vector(vector)
-        if len(vec) != self.ncols:
-            raise DimensionError("vector length does not match column count")
-        return tuple(sum((a * v for a, v in zip(row, vec) if a and v), _ZERO) for row in self.entries)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -283,7 +283,8 @@ def derivation_by_brackets(L, M):
     cols = [[M.entries[s][r] for s in range(n)] for r in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            lhs = M.matvec(L.bracket(units[i], units[j]))
+            w = L.bracket(units[i], units[j])
+            lhs = tuple(sum(m * v for m, v in zip(row, w)) for row in M.entries)
             a, b = L.bracket(cols[i], units[j]), L.bracket(units[i], cols[j])
             if lhs != tuple(u + v for u, v in zip(a, b)):
                 return False
@@ -298,7 +299,8 @@ def test_property_algebras_are_lie():
 @given(algebra_with_vectors(2, 2))
 def test_ad_matrix_matches_bracket(case):
     L, (x, y) = case
-    assert L.ad_matrix(x).matvec(y) == L.bracket(x, y)
+    ad = L.ad_matrix(x).entries
+    assert tuple(sum(a * v for a, v in zip(row, y)) for row in ad) == L.bracket(x, y)
 
 
 @settings(max_examples=60, deadline=None)

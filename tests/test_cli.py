@@ -374,3 +374,68 @@ def test_output_files_end_with_newline(tmp_path):
     target = tmp_path / "panel.txt"
     assert run(["invariants", "--family", "gm", "--m", "4", "-o", str(target)]) == 0
     assert target.read_text().endswith("rank: 2\n")
+
+
+# A fixed invertible change of basis with entries in [-2, 2]; its inverse has
+# denominators up to 1929, so the transported tensor is dense and non-integral.
+DENSE_BASIS = [
+    [1, -1, 2, 0, -1, 1, 0, 2, -1],
+    [1, 0, 1, 2, 2, -1, 0, 2, 0],
+    [2, -2, -1, 1, -1, 2, -1, 1, -2],
+    [0, 1, 1, -2, -1, 0, 1, 0, 0],
+    [-1, 0, 1, 1, 0, 2, -1, 1, -1],
+    [-1, -2, -1, -2, 0, 2, 0, 2, 1],
+    [2, -2, 0, 2, -1, -1, 1, 0, -1],
+    [-1, 0, 1, 2, -1, 0, 1, 2, 0],
+    [0, 1, -1, -1, 0, -1, 2, -2, -2],
+]
+
+
+def inverse_by_gauss_jordan(P):
+    """P^-1 over Fraction, apart from the package's elimination core."""
+    n = len(P)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(c == r)) for c in range(n)] for r, row in enumerate(P)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def in_basis(payload, P):
+    """The JSON payload of the same algebra in the basis Y_a = sum_i P[a][i] X_i."""
+    n = payload["dim"]
+    Q = inverse_by_gauss_jordan(P)  # X_k = sum_c Q[k][c] Y_c
+    brackets = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            x = [Fraction(0)] * n
+            for entry in payload["brackets"]:
+                i, j = entry["i"] - 1, entry["j"] - 1
+                weight = P[a][i] * P[b][j] - P[a][j] * P[b][i]
+                for k, c in entry["coeffs"].items():
+                    x[int(k) - 1] += weight * Fraction(c)
+            y = {c: sum(x[k] * Q[k][c] for k in range(n)) for c in range(n)}
+            coeffs = {str(c + 1): str(v) for c, v in y.items() if v}
+            if coeffs:
+                brackets.append({"i": a + 1, "j": b + 1, "coeffs": coeffs})
+    return {"dim": n, "basis": [f"Y{a + 1}" for a in range(n)], "brackets": brackets}
+
+
+def test_invariants_are_basis_independent_in_a_dense_basis(tmp_path, capsys):
+    family = ["gmq", "--m", "4", "--q", "4"]
+    assert run(["gen", "--family", *family]) == 0
+    dense = in_basis(json.loads(out_of(capsys)), DENSE_BASIS)
+    assert any("/" in v for entry in dense["brackets"] for v in entry["coeffs"].values())
+    source = tmp_path / "dense.json"
+    source.write_text(json.dumps(dense))
+    assert run(["invariants", "--family", *family, "--format", "json"]) == 0
+    adapted = json.loads(out_of(capsys))
+    assert run(["invariants", "--in", str(source), "--format", "json"]) == 0
+    panel = json.loads(out_of(capsys))
+    for key in ("dim", "nilindex", "lcs_dims", "center_dim", "b1", "der_dim"):
+        assert panel[key] == adapted[key], key

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from liecontract.exactlin import (
     DimensionError,
@@ -12,6 +12,7 @@ from liecontract.exactlin import (
     rank,
     solve,
 )
+from oracles import rank_reverse_elimination
 
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -73,7 +74,60 @@ def test_rank_nullity(m):
 def test_nullspace_vectors_are_killed(m):
     kernel = nullspace_of_rows(rows_of(m), m.ncols)
     for vec in kernel.basis:
-        assert all(v == 0 for v in m.matvec(vec))
+        for row in m.entries:
+            assert sum(a * v for a, v in zip(row, vec)) == 0
+
+
+# Large numerators and denominators make the eliminator clear denominators and
+# meet coefficient growth; the derived rows make the rank drop.
+large_scalars = st.builds(Fraction, st.integers(-10**9, 10**9), st.integers(1, 10**6))
+large_factors = large_scalars.filter(bool)
+
+
+@st.composite
+def growth_systems(draw):
+    """(ncols, rows): up to 12 x 8, random rows plus repeated, scaled, combined and zero rows."""
+    ncols = draw(st.integers(1, 8))
+    entry = st.one_of(st.just(Fraction(0)), large_scalars)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=6))
+    index = st.integers(0, len(rows) - 1)
+    for kind in draw(st.lists(st.sampled_from(("repeat", "scale", "combine", "zero")), max_size=6)):
+        if kind == "repeat":
+            rows.append(list(rows[draw(index)]))
+        elif kind == "scale":
+            factor = draw(large_factors)
+            rows.append([factor * v for v in rows[draw(index)]])
+        elif kind == "combine":
+            a, b, i, j = draw(large_factors), draw(large_factors), draw(index), draw(index)
+            rows.append([a * u + b * v for u, v in zip(rows[i], rows[j])])
+        else:
+            rows.append([Fraction(0)] * ncols)
+    if draw(st.booleans()):
+        rows = [[-v for v in row] for row in rows]
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(growth_systems())
+def test_reduction_matches_the_reverse_eliminator(system):
+    ncols, rows = system
+    sparse = [{c: v for c, v in enumerate(row) if v} for row in rows]
+    expected = rank_reverse_elimination(sparse)
+    basis = Subspace(ncols, rows).basis
+    assert len(basis) == expected
+    leads = [next(c for c, v in enumerate(vec) if v) for vec in basis]
+    assert leads == sorted(set(leads))
+    for i, lead in enumerate(leads):
+        assert basis[i][lead] == 1
+        assert all(other[lead] == 0 for j, other in enumerate(basis) if j != i)
+    # The basis spans no more than the rows do.
+    sparse_basis = [{c: v for c, v in enumerate(vec) if v} for vec in basis]
+    assert rank_reverse_elimination(sparse + sparse_basis) == expected
+    kernel = nullspace_of_rows(sparse, ncols)
+    assert kernel.dim == ncols - expected
+    for vec in kernel.basis:
+        for row in rows:
+            assert sum(a * v for a, v in zip(row, vec)) == 0
 
 
 def test_nullspace_of_identity_is_zero():
