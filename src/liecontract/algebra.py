@@ -123,14 +123,13 @@ class LieAlgebra:
                     out[k] += coeff * c
         return tuple(out)
 
-    def _brackets_with(self, v: Sequence[Fraction]) -> list[dict[int, Fraction]]:
-        """[X_r, v] for every basis index r, as sparse vectors {s: coefficient}."""
+    def _brackets_with(self, v: Mapping[int, Fraction]) -> list[dict[int, Fraction]]:
+        """[X_r, v] for every basis index r, v and results sparse {s: coefficient}."""
         out: list[dict[int, Fraction]] = [{} for _ in range(self.dim)]
-        for j, vj in enumerate(v):
-            if vj:
-                for (r, s, c) in self._adj[j]:
-                    col = out[r]
-                    col[s] = col.get(s, _ZERO) + vj * c
+        for j, vj in v.items():
+            for (r, s, c) in self._adj[j]:
+                col = out[r]
+                col[s] = col.get(s, _ZERO) + vj * c
         return [{s: c for s, c in col.items() if c} for col in out]
 
     def ad_matrix(self, x: Sequence) -> Matrix:
@@ -138,7 +137,7 @@ class LieAlgebra:
         n = self.dim
         if len(x) != n:
             raise DimensionError("vector length does not match algebra dimension")
-        xs = [v if type(v) is Fraction else Fraction(v) for v in x]
+        xs = {j: v if type(v) is Fraction else Fraction(v) for j, v in enumerate(x) if v}
         rows = [[_ZERO] * n for _ in range(n)]
         # Column r of ad(x) is [x, X_r] = -[X_r, x].
         for r, col in enumerate(self._brackets_with(xs)):
@@ -237,7 +236,7 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
     if S.ambient_dim != L.dim:
         raise DimensionError("subspace ambient does not match algebra dimension")
     rows: list[dict[int, Fraction]] = []
-    for v in S.basis:
+    for v in S._rows:
         per_s: dict[int, dict[int, Fraction]] = {}
         for i, w in enumerate(L._brackets_with(v)):
             for s, val in w.items():
@@ -252,19 +251,19 @@ def center(L: LieAlgebra) -> Subspace:
 
 def bracket_subspaces(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """span{[a, b] : a in A, b in B}."""
-    n = L.dim
-    with_b = [L._brackets_with(b) for b in B.basis]
-    vectors = []
-    for a in A.basis:
-        for cols in with_b:
+    if A.ambient_dim != L.dim or B.ambient_dim != L.dim:
+        raise DimensionError("subspace ambient does not match algebra dimension")
+    products: list[dict[int, Fraction]] = []
+    for b in B._rows:
+        cols = L._brackets_with(b)
+        for a in A._rows:
             # [a, b] = sum_r a_r [X_r, b]
-            out = [_ZERO] * n
-            for r, ar in enumerate(a):
-                if ar:
-                    for s, c in cols[r].items():
-                        out[s] += ar * c
-            vectors.append(out)
-    return Subspace(n, vectors)
+            out: dict[int, Fraction] = {}
+            for r, ar in a.items():
+                for s, c in cols[r].items():
+                    out[s] = out.get(s, _ZERO) + ar * c
+            products.append(out)
+    return Subspace._from_rows(products, L.dim)
 
 
 # ---------------------------------------------------------------------------
@@ -463,9 +462,7 @@ def characteristic_sequence(L: LieAlgebra) -> CharacteristicSequence:
     if n == 0:
         return CharacteristicSequence(())
     derived = derived_subalgebra(L)
-    pivot_cols = set()
-    for row in derived.basis:
-        pivot_cols.add(next(c for c, v in enumerate(row) if v))
+    pivot_cols = {min(row) for row in derived._rows}
     complement = [c for c in range(n) if c not in pivot_cols]
     candidates: list[list[Fraction]] = []
     generic = [_ZERO] * n

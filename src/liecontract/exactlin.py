@@ -6,6 +6,9 @@ for a given row space), subspaces compare equal iff their canonical bases are
 identical, and no pivot selection depends on magnitudes.  The elimination core
 clears each row's denominators and works on primitive integer rows internally
 (fraction-free elimination); it returns the same canonical `Fraction` RREF.
+
+Inside the package vectors are sparse rows `{column: nonzero Fraction}`; a
+`Subspace` keeps its RREF as such rows and builds its dense `basis` on demand.
 """
 
 from __future__ import annotations
@@ -111,10 +114,6 @@ def _reduce_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, 
 
 def _rows_from_dense(entries: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
     return [{c: v for c, v in enumerate(row) if v} for row in entries]
-
-
-def _densify(row: Mapping[int, Fraction], ncols: int) -> tuple[Fraction, ...]:
-    return tuple(row.get(c, _ZERO) for c in range(ncols))
 
 
 def _nullspace_basis(
@@ -238,12 +237,13 @@ def solve(matrix: Matrix, rhs: Sequence) -> tuple[Fraction, ...]:
 class Subspace:
     """Linear subspace of Q^n held as its canonical RREF basis.
 
-    Two Subspace objects are equal iff they have the same ambient dimension
-    and bit-identical bases; since the basis is canonical this coincides with
-    equality of the subspaces themselves.
+    The canonical rows are held sparse (`{column: Fraction}`, in pivot order);
+    `basis` is a dense view of them, built on demand.  Two Subspace objects
+    are equal iff they have the same ambient dimension and identical rows;
+    since the rows are canonical this is equality of the subspaces.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "_rows")
 
     def __init__(self, ambient_dim: int, vectors: Iterable[Iterable] = ()):
         if ambient_dim < 0:
@@ -256,54 +256,54 @@ class Subspace:
                     f"vector of length {len(dense)} in ambient dimension {ambient_dim}"
                 )
             rows.append({c: v for c, v in enumerate(dense) if v})
-        pivots = _reduce_rows(rows)
-        basis = tuple(_densify(pivots[c], ambient_dim) for c in sorted(pivots))
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+        self._set_rows(rows, ambient_dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
+    def _set_rows(self, rows: Iterable[Mapping[int, Fraction]], ambient_dim: int) -> None:
+        pivots = _reduce_rows(rows)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        object.__setattr__(self, "_rows", tuple(pivots[c] for c in sorted(pivots)))
+
     @classmethod
     def _from_rows(cls, rows: Iterable[Mapping[int, Fraction]], ambient_dim: int) -> "Subspace":
-        pivots = _reduce_rows(rows)
+        """Span of sparse rows with columns below `ambient_dim`; rows are not checked."""
         sub = cls.__new__(cls)
-        object.__setattr__(sub, "ambient_dim", ambient_dim)
-        object.__setattr__(
-            sub, "basis", tuple(_densify(pivots[c], ambient_dim) for c in sorted(pivots))
-        )
+        sub._set_rows(rows, ambient_dim)
         return sub
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        eye = Matrix.identity(ambient_dim)
-        return cls(ambient_dim, eye.entries)
+        if ambient_dim < 0:
+            raise DimensionError("ambient dimension must be nonnegative")
+        return cls._from_rows([{c: _ONE} for c in range(ambient_dim)], ambient_dim)
+
+    @property
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The canonical RREF rows as dense tuples, in pivot order."""
+        n = self.ambient_dim
+        return tuple(tuple(row.get(c, _ZERO) for c in range(n)) for row in self._rows)
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._rows)
 
     def is_zero(self) -> bool:
-        return not self.basis
+        return not self._rows
 
-    def _check_ambient(self, other: "Subspace") -> None:
+    def is_subset(self, other: "Subspace") -> bool:
         if self.ambient_dim != other.ambient_dim:
             raise DimensionError(
                 f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
             )
-
-    def contains(self, vector: Iterable) -> bool:
-        return Subspace(self.ambient_dim, self.basis + (vector,)).dim == self.dim
-
-    def is_subset(self, other: "Subspace") -> bool:
-        self._check_ambient(other)
-        return all(other.contains(row) for row in self.basis)
+        return Subspace._from_rows(other._rows + self._rows, self.ambient_dim).dim == other.dim
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Subspace)
             and self.ambient_dim == other.ambient_dim
-            and self.basis == other.basis
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:

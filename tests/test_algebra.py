@@ -150,6 +150,13 @@ def test_centralizer_of_center_is_everything(g4):
     assert centralizer(g4, center(g4)) == Subspace.full(9)
 
 
+def test_bracket_subspaces_rejects_a_foreign_ambient(g4):
+    with pytest.raises(DimensionError):
+        bracket_subspaces(g4, Subspace(3, [[1, 0, 0]]), Subspace(3, [[0, 1, 0]]))
+    with pytest.raises(DimensionError):
+        bracket_subspaces(g4, Subspace.full(12), Subspace.full(12))
+
+
 # --- series ----------------------------------------------------------------
 
 
@@ -309,8 +316,10 @@ def test_bracket_subspaces_matches_bracket(case, split):
     L, vectors = case
     A = Subspace(L.dim, vectors[:split])
     B = Subspace(L.dim, vectors[split:])
-    expected = Subspace(L.dim, [L.bracket(a, b) for a in A.basis for b in B.basis])
-    assert bracket_subspaces(L, A, B) == expected
+    # A = L is the path of the lower central series and of [L, L].
+    for A, B in ((A, B), (Subspace.full(L.dim), B), (A, Subspace(L.dim))):
+        expected = Subspace(L.dim, [L.bracket(a, b) for a in A.basis for b in B.basis])
+        assert bracket_subspaces(L, A, B) == expected
 
 
 @settings(max_examples=60, deadline=None)
