@@ -177,9 +177,7 @@ class MaurerCartanForm:
                     raise DimensionError(f"bad wedge pair ({i}, {j}) in dw_{k}")
 
 
-def from_maurer_cartan(
-    form: MaurerCartanForm, basis_labels: Sequence[str] | None = None
-) -> LieAlgebra:
+def from_maurer_cartan(form: MaurerCartanForm) -> LieAlgebra:
     """Dualize two-forms to a bracket: c * w_i ^ w_j in dw_k means C^k_ij = c.
 
     Raises JacobiViolationError when the resulting tensor is not a Lie law.
@@ -189,7 +187,7 @@ def from_maurer_cartan(
         for (i, j, c) in terms:
             fiber = tensor.setdefault((i, j), {})
             fiber[k] = fiber.get(k, _ZERO) + Fraction(c)
-    algebra = LieAlgebra(form.dim, tensor, basis_labels)
+    algebra = LieAlgebra(form.dim, tensor)
     report = check_jacobi(algebra)
     if not report.ok:
         raise JacobiViolationError(report)

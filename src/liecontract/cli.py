@@ -2,9 +2,7 @@
 
 Subcommands: gen, invariants, contract, verify-complete, check, table.  All
 data output is deterministic (identical flags give byte-identical output);
-diagnostics go to stderr.  Exit codes: 0 success, 1 verification failure,
-2 invalid flags, parameters, LIECONTRACT_THREADS value or input file
-(unreadable, not JSON, malformed, or a tensor that breaks Jacobi).
+diagnostics go to stderr.
 """
 
 from __future__ import annotations
@@ -13,9 +11,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .algebra import (
     LieAlgebra,
@@ -57,8 +53,6 @@ from .families import (
     make_heisenberg_plus_abelian,
     all_q_lists,
 )
-
-THREADS_ENV = "LIECONTRACT_THREADS"
 
 TABLE_COLUMNS = (
     "m",
@@ -316,9 +310,8 @@ def _cmd_check(args) -> int:
     return 0 if failures == 0 else 1
 
 
-def _table_row(spec: tuple[int, tuple[int, ...]]) -> dict:
+def _table_row(m: int, q: tuple[int, ...]) -> dict:
     """One table row; in the adapted basis `rank` is the torus rank."""
-    m, q = spec
     algebra = make_g_m_q(m, q) if q else make_g_m(m)
     series = lower_central_series(algebra)
     torus = max_torus(algebra)
@@ -365,24 +358,6 @@ def _render_table(rows: list[dict], fmt: str) -> str:
     return "\n".join([header, divider] + body)
 
 
-def _worker_count(setting: str | None, jobs: int, cpus: int | None) -> int:
-    """Worker processes for `jobs` table rows: min(setting, jobs, cpus).
-
-    `setting` is the raw LIECONTRACT_THREADS value; unset or empty means 1.
-    """
-    if not setting:
-        return 1
-    try:
-        requested = int(setting)
-        if requested < 1:
-            raise ValueError
-    except ValueError:
-        raise InvalidFamilyError(
-            f"{THREADS_ENV} must be a positive integer, got {setting!r}"
-        ) from None
-    return min(requested, jobs, cpus or 1)
-
-
 def _cmd_table(args) -> int:
     if args.max_k < 0:
         raise InvalidFamilyError(f"--max-k must be a nonnegative integer, got {args.max_k}")
@@ -390,12 +365,7 @@ def _cmd_table(args) -> int:
     for m in _parse_m_range(args.m):
         specs.append((m, ()))
         specs.extend((m, q) for q in all_q_lists(m, args.max_k))
-    workers = _worker_count(os.environ.get(THREADS_ENV), len(specs), os.cpu_count())
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_table_row, specs))
-    else:
-        rows = [_table_row(spec) for spec in specs]
+    rows = [_table_row(m, q) for m, q in specs]
     _emit(_render_table(rows, args.format), args.output)
     return 0
 

@@ -122,8 +122,13 @@ class FamilySpec:
                 raise InvalidFamilyError("m must be at least 4")
             if self.family == "heisenberg" and self.m < 2:
                 raise InvalidFamilyError("m must be at least 2")
-        if self.family in ("filiform", "abelian") and self.n is None:
-            raise InvalidFamilyError(f"family {self.family} needs n")
+            if self.n is not None:
+                raise InvalidFamilyError(f"family {self.family} takes no n")
+        if self.family in ("filiform", "abelian"):
+            if self.n is None:
+                raise InvalidFamilyError(f"family {self.family} needs n")
+            if self.m is not None:
+                raise InvalidFamilyError(f"family {self.family} takes no m")
         if self.family == "gmq":
             validate_q_list(self.m, tuple(self.q_list))
         elif self.q_list:

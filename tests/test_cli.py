@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from liecontract.algebra import from_json_dict, to_json_dict
-from liecontract.cli import THREADS_ENV, _worker_count, run
+from liecontract.cli import run
 from liecontract.families import FamilySpec, make_g_m_q
 
 
@@ -326,38 +326,15 @@ def test_table_output_is_byte_stable(tmp_path):
     assert first.read_bytes() == second.read_bytes()
 
 
-def test_table_parallel_matches_serial(tmp_path, monkeypatch):
-    serial = tmp_path / "serial.csv"
-    parallel = tmp_path / "parallel.csv"
-    assert run(["table", "--m", "4", "--max-k", "1", "-o", str(serial)]) == 0
-    monkeypatch.setenv(THREADS_ENV, "2")
-    assert run(["table", "--m", "4", "--max-k", "1", "-o", str(parallel)]) == 0
-    assert serial.read_bytes() == parallel.read_bytes()
-
-
-def test_worker_count_is_clamped():
-    assert _worker_count(None, 35, 8) == 1
-    assert _worker_count("", 35, 8) == 1
-    assert _worker_count("1", 35, 8) == 1
-    assert _worker_count("4", 35, 8) == 4
-    assert _worker_count("16", 35, 8) == 8
-    assert _worker_count("16", 3, 8) == 3
-    assert _worker_count("16", 35, None) == 1
-
-
-@pytest.mark.parametrize("setting", ["abc", "0", "-1", "2.5"])
-def test_worker_count_rejects_non_positive_integers(setting):
-    with pytest.raises(ValueError, match=THREADS_ENV):
-        _worker_count(setting, 35, 8)
-
-
-@pytest.mark.parametrize("setting", ["abc", "0", "-1"])
-def test_table_rejects_bad_thread_setting(monkeypatch, capsys, setting):
-    monkeypatch.setenv(THREADS_ENV, setting)
-    assert run(["table", "--m", "4", "--max-k", "1"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith(f"error: {THREADS_ENV} must be a positive integer")
+@pytest.mark.parametrize("setting", ["abc", "2"])
+def test_table_ignores_thread_setting(monkeypatch, capsys, setting):
+    # The sweep runs in one process; a variable left over from older scripts changes nothing.
+    monkeypatch.delenv("LIECONTRACT_THREADS", raising=False)
+    assert run(["table", "--m", "4", "--max-k", "1"]) == 0
+    unset = capsys.readouterr()
+    monkeypatch.setenv("LIECONTRACT_THREADS", setting)
+    assert run(["table", "--m", "4", "--max-k", "1"]) == 0
+    assert capsys.readouterr() == unset
 
 
 def test_module_entry_point():

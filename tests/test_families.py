@@ -172,6 +172,10 @@ def test_family_spec_validation():
         FamilySpec(family="filiform")
     with pytest.raises(InvalidFamilyError):
         FamilySpec(family="abelian", n=3, q_list=(3,))
+    with pytest.raises(InvalidFamilyError, match="takes no n"):
+        FamilySpec(family="gm", m=4, n=7)
+    with pytest.raises(InvalidFamilyError, match="takes no m"):
+        FamilySpec(family="filiform", m=5, n=3)
 
 
 def test_all_q_lists_counts():
