@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .exactlin import (
@@ -341,43 +342,42 @@ def has_abelian_direct_factor(L: LieAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _derivation_rows(L: LieAlgebra) -> Iterator[list[dict[int, Fraction]]]:
-    """Equation rows of D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j], unknown D_rc at r*n+c.
+def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
+    """Nonzero integer rows of D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j], unknown D_rc at r*n+c.
 
-    Yields, for each pair (i, j) in lex order, the n rows indexed by the
-    output component s (zero rows included so callers control the layout).
+    The structure constants are scaled by the lcm of their denominators first.
+    Every equation is linear in them, so the scaled system has the same
+    kernel and vanishes on the same matrices, and all its rows are integral.
+    Rows come per pair (i, j) in lex order, then per output component s.
     """
     n = L.dim
-    adj = L._adj
+    den = lcm(*(c.denominator for fiber in L._tensor.values() for c in fiber.values()))
+    adj = [[(r, s, c.numerator * (den // c.denominator)) for (r, s, c) in a] for a in L._adj]
+    rows: list[dict[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            per_s: list[dict[int, Fraction]] = [{} for _ in range(n)]
-            fiber = L._tensor.get((i, j))
-            if fiber:
-                for k, c in fiber.items():
-                    for s in range(n):
-                        row = per_s[s]
-                        col = s * n + k
-                        row[col] = row.get(col, _ZERO) + c
-            for (r, s, c) in adj[j]:
-                row = per_s[s]
-                col = r * n + i
-                row[col] = row.get(col, _ZERO) - c
-            # adj[i] holds [X_r, X_i] = c X_s, so C^s_ir = -c.
-            for (r, s, c) in adj[i]:
-                row = per_s[s]
-                col = r * n + j
-                row[col] = row.get(col, _ZERO) + c
-            yield [{c: v for c, v in row.items() if v} for row in per_s]
+            fiber = L._tensor.get((i, j), {})
+            terms = [(k, c.numerator * (den // c.denominator)) for k, c in fiber.items()]
+            per_s = {s: {s * n + k: c for k, c in terms} for s in range(n)} if terms else {}
+            # Moved to the left, [DX_i, X_j] = sum_r D_ri [X_r, X_j] gives -c D_ri
+            # for each (r, s, c) in adj[j], and [X_i, DX_j] = -sum_r D_rj [X_r, X_i]
+            # gives +c D_rj for each (r, s, c) in adj[i].
+            for other, sign, entries in ((i, -1, adj[j]), (j, 1, adj[i])):
+                for (r, s, c) in entries:
+                    row = per_s.setdefault(s, {})
+                    col = r * n + other
+                    new = row.get(col, 0) + sign * c
+                    if new:
+                        row[col] = new
+                    else:
+                        del row[col]
+            rows.extend(per_s[s] for s in sorted(per_s) if per_s[s])
+    return rows
 
 
 def derivations(L: LieAlgebra) -> Subspace:
     """Derivation algebra as a subspace of n x n matrices flattened row-major."""
-    n = L.dim
-    rows: list[dict[int, Fraction]] = []
-    for block in _derivation_rows(L):
-        rows.extend(r for r in block if r)
-    return nullspace_of_rows(rows, n * n)
+    return nullspace_of_rows(_derivation_rows(L), L.dim * L.dim)
 
 
 def flatten_matrix(M: Matrix) -> tuple[Fraction, ...]:
@@ -394,11 +394,7 @@ def is_derivation(L: LieAlgebra, M: Matrix) -> bool:
     if M.shape != (n, n):
         raise DimensionError("matrix shape does not match algebra dimension")
     flat = flatten_matrix(M)
-    return all(
-        not sum((v * flat[c] for c, v in row.items()), _ZERO)
-        for block in _derivation_rows(L)
-        for row in block
-    )
+    return all(not sum(v * flat[c] for c, v in row.items()) for row in _derivation_rows(L))
 
 
 # ---------------------------------------------------------------------------

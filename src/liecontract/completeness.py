@@ -17,21 +17,21 @@ from .algebra import LieAlgebra, center, derivations
 from .exactlin import Subspace, nullspace_of_rows
 from .families import make_g_m, make_g_m_q
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
-
 
 def weight_system(L: LieAlgebra) -> Subspace:
     """Solutions w of w_i + w_j = w_k, one equation per nonzero tensor entry.
 
-    The solution space comes back in canonical echelon form.
+    The rows are integral (coefficients +1 and -1; k = i or j cancels a
+    term).  The solution space comes back in canonical echelon form.
     """
     rows = []
     for (i, j, k, _) in L.entries():
-        row: dict[int, Fraction] = {}
-        for index, sign in ((i, _ONE), (j, _ONE), (k, -_ONE)):
-            row[index] = row.get(index, _ZERO) + sign
-        rows.append({c: v for c, v in row.items() if v})
+        row = {i: 1, j: 1}
+        if k in row:
+            del row[k]
+        else:
+            row[k] = -1
+        rows.append(row)
     return nullspace_of_rows(rows, L.dim)
 
 

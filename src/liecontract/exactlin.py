@@ -1,14 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Everything here takes and returns `fractions.Fraction` scalars, so results are
-exact and reproducible: reduced row echelon form is the canonical one (unique
-for a given row space), subspaces compare equal iff their canonical bases are
-identical, and no pivot selection depends on magnitudes.  The elimination core
-clears each row's denominators and works on primitive integer rows internally
-(fraction-free elimination); it returns the same canonical `Fraction` RREF.
+Results are `fractions.Fraction` scalars, so they are exact and reproducible:
+reduced row echelon form is the canonical one (unique for a given row space),
+subspaces compare equal iff their canonical bases are identical, and no pivot
+selection depends on magnitudes.  The elimination core (`_echelon`) works on
+primitive integer rows (fraction-free elimination); only the final
+normalisation builds the canonical `Fraction` RREF.  A row may hold ints or
+Fractions: an integral row enters the core as it is, a rational one has its
+denominators cleared first.  `nullspace_of_rows` builds its kernel basis as
+integer rows straight from the integer pivots.
 
-Inside the package vectors are sparse rows `{column: nonzero Fraction}`; a
-`Subspace` keeps its RREF as such rows and builds its dense `basis` on demand.
+The derivation system and the torus weight system are built over the
+integers: the weight equations have coefficients +-1, and the derivation
+equations are linear in the structure constants, so scaling the tensor by the
+lcm of its denominators scales each equation and keeps its kernel.  Systems
+built from a subspace (centralizers, bracket products) stay in `Fraction`.
+
+Inside the package vectors are sparse rows `{column: nonzero value}`; a
+`Subspace` keeps its RREF as `Fraction` rows and builds its dense `basis` on
+demand.
 """
 
 from __future__ import annotations
@@ -38,9 +48,9 @@ def _coerce_vector(vector: Iterable) -> tuple[Fraction, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Sparse elimination core.  Rows are dicts {column: nonzero Fraction}; the
-# reduced form is unique, so every caller sees canonical output regardless of
-# the order rows arrive in.  In between, each row is held as a primitive
+# Sparse elimination core.  Rows are dicts {column: nonzero int or Fraction};
+# the reduced form is unique, so every caller sees canonical output regardless
+# of the order rows arrive in.  In between, each row is held as a primitive
 # integer multiple of itself (denominators cleared, content divided out):
 # a row operation costs integer products and one content gcd, where Fraction
 # arithmetic pays a gcd for every entry.
@@ -55,11 +65,20 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
     return {c: v // g for c, v in row.items()}
 
 
-def _integer_row(raw: Mapping[int, Fraction]) -> dict[int, int]:
-    """The primitive integer multiple of a rational row, zeros dropped."""
-    den = lcm(*(v.denominator for v in raw.values()))
-    row = {c: v.numerator * (den // v.denominator) for c, v in raw.items() if v.numerator}
-    return _primitive(row) if row else row
+def _integer_row(raw: Mapping[int, int | Fraction]) -> dict[int, int]:
+    """The primitive integer multiple of a row of ints or Fractions, zeros dropped.
+
+    An all-int row is divided by its content and copied: no Fraction is built.
+    """
+    values = raw.values()
+    if Fraction in map(type, values):
+        den = lcm(*(v.denominator for v in values))
+        row = {c: v.numerator * (den // v.denominator) for c, v in raw.items() if v}
+        return _primitive(row) if row else row
+    g = gcd(*values)
+    if g == 1 and 0 not in values:
+        return dict(raw)
+    return {c: v // g for c, v in raw.items() if v} if g else {}
 
 
 def _eliminate(row: dict[int, int], col: int, pivot_row: dict[int, int]) -> dict[int, int]:
@@ -86,11 +105,15 @@ def _eliminate(row: dict[int, int], col: int, pivot_row: dict[int, int]) -> dict
     return _primitive(row) if row else row
 
 
-def _reduce_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Row-reduce sparse rows; returns {pivot column: normalized row}."""
-    pivots: dict[int, dict[int, int]] = {}  # echelon form, primitive integer rows
-    for raw in rows:
-        row = _integer_row(raw)
+def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Reduced echelon form of primitive integer rows, as {lead column: row}.
+
+    Each returned row is primitive and zero in every other pivot column; it is
+    the canonical RREF row scaled by an integer.  Input rows may be updated in
+    place.
+    """
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
@@ -106,6 +129,12 @@ def _reduce_rows(rows: Iterable[Mapping[int, Fraction]]) -> dict[int, dict[int, 
         for col in [c for c in row if c != lead and c in pivots]:
             row = _eliminate(row, col, pivots[col])
         pivots[lead] = row
+    return pivots
+
+
+def _reduce_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, Fraction]]:
+    """Row-reduce sparse rows; returns {pivot column: normalized row}."""
+    pivots = _echelon(_integer_row(raw) for raw in rows)
     return {
         lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
         for lead, row in pivots.items()
@@ -116,22 +145,30 @@ def _rows_from_dense(entries: Sequence[Sequence[Fraction]]) -> list[dict[int, Fr
     return [{c: v for c, v in enumerate(row) if v} for row in entries]
 
 
-def _nullspace_basis(
-    rows: Iterable[Mapping[int, Fraction]], ncols: int
-) -> list[dict[int, Fraction]]:
-    """Kernel basis of the sparse system, one vector per free column."""
-    pivots = _reduce_rows(rows)
-    basis: list[dict[int, Fraction]] = []
-    for free in range(ncols):
-        if free in pivots:
-            continue
-        vec: dict[int, Fraction] = {free: _ONE}
-        for piv, prow in pivots.items():
-            coeff = prow.get(free)
-            if coeff:
-                vec[piv] = -coeff
-        basis.append(vec)
-    return basis
+def _integer_kernel(pivots: Mapping[int, Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
+    """Kernel basis of a reduced integer echelon form, one integer row per free column.
+
+    A pivot row p with lead l reads p_l x_l + sum_f p_f x_f = 0 over the free
+    columns f, so the kernel vector of f has x_f = 1 and x_l = -p_f / p_l.
+    One pass over the pivot entries collects those terms per free column; the
+    vector is then scaled by the lcm of the p_l it involves.
+    """
+    terms: dict[int, list[tuple[int, int, int]]] = {
+        f: [] for f in range(ncols) if f not in pivots
+    }
+    for lead, row in pivots.items():
+        p = row[lead]
+        for f, v in row.items():
+            if f != lead:
+                terms[f].append((lead, v, p))
+    kernel = []
+    for f, entries in terms.items():
+        den = lcm(*(p for _, _, p in entries))
+        vec = {f: den}
+        for lead, v, p in entries:
+            vec[lead] = -v * (den // p)
+        kernel.append(vec)
+    return kernel
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +243,10 @@ def rank(matrix: Matrix) -> int:
     return len(_reduce_rows(_rows_from_dense(matrix.entries)))
 
 
-def nullspace_of_rows(rows: Iterable[Mapping[int, Fraction]], ncols: int) -> "Subspace":
-    """Kernel of a sparse row system, as a canonical Subspace of Q^ncols."""
-    return Subspace._from_rows(_nullspace_basis(rows, ncols), ncols)
+def nullspace_of_rows(rows: Iterable[Mapping[int, int | Fraction]], ncols: int) -> "Subspace":
+    """Kernel of a sparse row system of ints or Fractions, as a canonical Subspace of Q^ncols."""
+    pivots = _echelon(_integer_row(raw) for raw in rows)
+    return Subspace._from_rows(_integer_kernel(pivots, ncols), ncols)
 
 
 def solve(matrix: Matrix, rhs: Sequence) -> tuple[Fraction, ...]:
@@ -277,7 +315,7 @@ class Subspace:
     def full(cls, ambient_dim: int) -> "Subspace":
         if ambient_dim < 0:
             raise DimensionError("ambient dimension must be nonnegative")
-        return cls._from_rows([{c: _ONE} for c in range(ambient_dim)], ambient_dim)
+        return cls._from_rows([{c: 1} for c in range(ambient_dim)], ambient_dim)
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:

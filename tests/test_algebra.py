@@ -38,7 +38,7 @@ from liecontract.families import (
     make_heisenberg_plus_abelian,
     make_model_filiform,
 )
-from oracles import rank_reverse_elimination
+from oracles import derivation_nullity_bruteforce, rank_reverse_elimination
 
 
 def unit(n, i):
@@ -221,11 +221,13 @@ def test_derivation_dims_grow_under_cutting(g4):
 
 def test_derivation_system_matrix_shape_and_golden_row():
     heis = make_model_filiform(3)
-    blocks = list(_derivation_rows(heis))
-    # One block per pair i < j, one row per output component.
-    assert [len(block) for block in blocks] == [3, 3, 3]
+    rows = _derivation_rows(heis)
+    # Nonzero integer rows only: three for the pair (X1, X2), one each for
+    # (X1, X3) and (X2, X3).
+    assert len(rows) == 5
+    assert all(type(v) is int and v for row in rows for v in row.values())
     # pair (X1, X2), output component X3: D33 - D11 - D22 = 0
-    assert blocks[0][2] == {0: -1, 4: -1, 8: 1}
+    assert rows[2] == {0: -1, 4: -1, 8: 1}
 
 
 def test_inner_derivations_sit_inside_derivations(g4):
@@ -291,7 +293,7 @@ def derivation_by_brackets(L, M):
     for i in range(n):
         for j in range(i + 1, n):
             w = L.bracket(units[i], units[j])
-            lhs = tuple(sum(m * v for m, v in zip(row, w)) for row in M.entries)
+            lhs = tuple(sum(m * v for m, v in zip(row, w) if v) for row in M.entries)
             a, b = L.bracket(cols[i], units[j]), L.bracket(units[i], cols[j])
             if lhs != tuple(u + v for u, v in zip(a, b)):
                 return False
@@ -352,6 +354,35 @@ def test_is_derivation_matches_bracket(case, data):
         [[ad.entries[i][j] + (1 if (i, j) == (r, c) else 0) for j in range(n)] for i in range(n)]
     )
     assert is_derivation(L, bumped) == derivation_by_brackets(L, bumped)
+
+
+# Rescaling the basis X_i -> l_i X_i gives C^k_ij l_i l_j / l_k: the same
+# algebra with mixed denominators, so the derivation system is built from a
+# tensor whose lcm scaling is not 1.
+nonzero_scalars = st.fractions(min_value=-3, max_value=3, max_denominator=7).filter(bool)
+
+
+@st.composite
+def rescaled_algebras(draw):
+    name = draw(st.sampled_from(["g4", "g5(3,6)", "r4", "fractional"]))
+    L = PROPERTY_ALGEBRAS[name]
+    if name == "fractional":
+        return L
+    lam = draw(st.lists(nonzero_scalars, min_size=L.dim, max_size=L.dim))
+    tensor = {}
+    for (i, j, k, c) in L.entries():
+        tensor.setdefault((i, j), {})[k] = c * lam[i] * lam[j] / lam[k]
+    return LieAlgebra(L.dim, tensor)
+
+
+@settings(max_examples=10, deadline=None)
+@given(rescaled_algebras())
+def test_derivations_of_fractional_tensors_match_bruteforce(L):
+    n = L.dim
+    der = derivations(L)
+    assert der.dim == derivation_nullity_bruteforce(L)
+    for vec in der.basis:
+        assert derivation_by_brackets(L, Matrix([vec[r * n : (r + 1) * n] for r in range(n)]))
 
 
 # --- characteristic sequence -------------------------------------------------
