@@ -51,12 +51,14 @@ class LieAlgebra:
 
     `tensor` maps a pair (i, j) with i < j to {k: C^k_ij}; only nonzero
     coefficients are kept.  Equality compares dimension and tensor (labels are
-    presentation only).  `_adj[j]` lists (r, s, c) with [X_r, X_j] = c X_s; it
-    is the one sparse reading of the tensor behind every bracket-driven
-    invariant.
+    presentation only).  The denominators of the tensor are cleared here, once:
+    `_den` is their lcm, and `_adj[j]` lists the int triples (r, s, c * _den)
+    with [X_r, X_j] = c X_s.  `_adj` is the one sparse reading of the tensor
+    behind every bracket-driven invariant; spans and kernels do not change
+    when the bracket is scaled by `_den`, so their systems stay integral.
     """
 
-    __slots__ = ("dim", "basis_labels", "_tensor", "_adj")
+    __slots__ = ("dim", "basis_labels", "_tensor", "_adj", "_den")
 
     def __init__(
         self,
@@ -82,15 +84,18 @@ class LieAlgebra:
         labels = _default_labels(dim) if basis_labels is None else tuple(basis_labels)
         if len(labels) != dim:
             raise DimensionError("label count does not match dimension")
-        adj: list[list[tuple[int, int, Fraction]]] = [[] for _ in range(dim)]
+        den = lcm(*(c.denominator for entries in clean.values() for c in entries.values()))
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
         for (i, j), entries in clean.items():
             for k, c in entries.items():
-                adj[j].append((i, k, c))
-                adj[i].append((j, k, -c))
+                scaled = c.numerator * (den // c.denominator)
+                adj[j].append((i, k, scaled))
+                adj[i].append((j, k, -scaled))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis_labels", labels)
         object.__setattr__(self, "_tensor", clean)
         object.__setattr__(self, "_adj", tuple(tuple(row) for row in adj))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -124,13 +129,16 @@ class LieAlgebra:
                     out[k] += coeff * c
         return tuple(out)
 
-    def _brackets_with(self, v: Mapping[int, Fraction]) -> list[dict[int, Fraction]]:
-        """[X_r, v] for every basis index r, v and results sparse {s: coefficient}."""
-        out: list[dict[int, Fraction]] = [{} for _ in range(self.dim)]
+    def _brackets_with(self, v: Mapping[int, int | Fraction]) -> list[dict[int, int | Fraction]]:
+        """_den * [X_r, v] for every basis index r, v and results sparse {s: coefficient}.
+
+        An integral v gives integral results.
+        """
+        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.dim)]
         for j, vj in v.items():
             for (r, s, c) in self._adj[j]:
                 col = out[r]
-                col[s] = col.get(s, _ZERO) + vj * c
+                col[s] = col.get(s, 0) + vj * c
         return [{s: c for s, c in col.items() if c} for col in out]
 
     def ad_matrix(self, x: Sequence) -> Matrix:
@@ -143,7 +151,7 @@ class LieAlgebra:
         # Column r of ad(x) is [x, X_r] = -[X_r, x].
         for r, col in enumerate(self._brackets_with(xs)):
             for s, c in col.items():
-                rows[s][r] = -c
+                rows[s][r] = -c / self._den
         return Matrix(rows, ncols=n)
 
     def __eq__(self, other) -> bool:
@@ -234,9 +242,9 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
     """{x : [x, v] = 0 for all v in S}."""
     if S.ambient_dim != L.dim:
         raise DimensionError("subspace ambient does not match algebra dimension")
-    rows: list[dict[int, Fraction]] = []
+    rows: list[dict[int, int]] = []
     for v in S._rows:
-        per_s: dict[int, dict[int, Fraction]] = {}
+        per_s: dict[int, dict[int, int]] = {}
         for i, w in enumerate(L._brackets_with(v)):
             for s, val in w.items():
                 per_s.setdefault(s, {})[i] = val
@@ -252,15 +260,15 @@ def bracket_subspaces(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
     """span{[a, b] : a in A, b in B}."""
     if A.ambient_dim != L.dim or B.ambient_dim != L.dim:
         raise DimensionError("subspace ambient does not match algebra dimension")
-    products: list[dict[int, Fraction]] = []
+    products: list[dict[int, int]] = []
     for b in B._rows:
         cols = L._brackets_with(b)
         for a in A._rows:
-            # [a, b] = sum_r a_r [X_r, b]
-            out: dict[int, Fraction] = {}
+            # [a, b] = sum_r a_r [X_r, b], up to the factor _den
+            out: dict[int, int] = {}
             for r, ar in a.items():
                 for s, c in cols[r].items():
-                    out[s] = out.get(s, _ZERO) + ar * c
+                    out[s] = out.get(s, 0) + ar * c
             products.append(out)
     return Subspace._from_rows(products, L.dim)
 
@@ -345,14 +353,12 @@ def has_abelian_direct_factor(L: LieAlgebra) -> bool:
 def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
     """Nonzero integer rows of D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j], unknown D_rc at r*n+c.
 
-    The structure constants are scaled by the lcm of their denominators first.
+    The structure constants enter scaled by `L._den`, as `L._adj` holds them.
     Every equation is linear in them, so the scaled system has the same
     kernel and vanishes on the same matrices, and all its rows are integral.
     Rows come per pair (i, j) in lex order, then per output component s.
     """
-    n = L.dim
-    den = lcm(*(c.denominator for fiber in L._tensor.values() for c in fiber.values()))
-    adj = [[(r, s, c.numerator * (den // c.denominator)) for (r, s, c) in a] for a in L._adj]
+    n, den, adj = L.dim, L._den, L._adj
     rows: list[dict[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
@@ -380,20 +386,15 @@ def derivations(L: LieAlgebra) -> Subspace:
     return nullspace_of_rows(_derivation_rows(L), L.dim * L.dim)
 
 
-def flatten_matrix(M: Matrix) -> tuple[Fraction, ...]:
-    """Row-major flattening, matching the derivation unknown layout."""
-    return tuple(v for row in M.entries for v in row)
-
-
 def is_derivation(L: LieAlgebra, M: Matrix) -> bool:
     """Check D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j] on all basis pairs.
 
-    Evaluates the rows of the derivation system on the flattened matrix.
+    Evaluates the rows of the derivation system on M flattened row-major.
     """
     n = L.dim
     if M.shape != (n, n):
         raise DimensionError("matrix shape does not match algebra dimension")
-    flat = flatten_matrix(M)
+    flat = [v for row in M.entries for v in row]
     return all(not sum(v * flat[c] for c, v in row.items()) for row in _derivation_rows(L))
 
 

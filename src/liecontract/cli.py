@@ -188,6 +188,10 @@ def _cmd_contract(args) -> int:
     m = args.m
     if m is None:
         raise InvalidFamilyError("contract needs --m")
+    if args.heisenberg and (args.n1 is not None or args.n2 is not None):
+        raise InvalidFamilyError("--n1/--n2 select a chain contraction; --heisenberg takes neither")
+    n1 = 1 if args.n1 is None else args.n1
+    n2 = 1 if args.n2 is None else args.n2
     if args.heisenberg:
         exponents = heisenberg_exponents(m)
         source = make_g_m_q(m, q) if q else make_g_m(m)
@@ -197,7 +201,7 @@ def _cmd_contract(args) -> int:
     else:
         if not q:
             raise InvalidFamilyError("contract needs --q (or --heisenberg)")
-        exponents = solve_exponents(m, q, args.n1, args.n2)
+        exponents = solve_exponents(m, q, n1, n2)
         source = make_g_m(m)
         source_label = f"g{m}"
         target = make_g_m_q(m, q)
@@ -209,8 +213,8 @@ def _cmd_contract(args) -> int:
         doc = {
             "m": m,
             "q": list(q),
-            "n1": args.n1,
-            "n2": args.n2,
+            "n1": n1,
+            "n2": n2,
             "a": list(exponents),
             "law": law.to_json_dict(),
             "limit": to_json_dict(limit),
@@ -406,8 +410,8 @@ def _build_parser() -> argparse.ArgumentParser:
     con.add_argument("--m", type=int)
     con.add_argument("--q", help="cut list; the contraction target (or source with --heisenberg)")
     con.add_argument("--heisenberg", action="store_true", help="degenerate to Heisenberg plus C^2")
-    con.add_argument("--n1", type=int, default=1)
-    con.add_argument("--n2", type=int, default=1)
+    con.add_argument("--n1", type=int, help="pins a_2 = N1 (default 1; not with --heisenberg)")
+    con.add_argument("--n2", type=int, help="pins a_3 = N2 (default 1; not with --heisenberg)")
     con.add_argument("--emit-exponents", action="store_true", help="emit a JSON document")
     con.add_argument("-o", "--output")
     con.set_defaults(handler=_cmd_contract)

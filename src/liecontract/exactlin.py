@@ -1,24 +1,19 @@
 """Exact linear algebra over the rationals.
 
-Results are `fractions.Fraction` scalars, so they are exact and reproducible:
-reduced row echelon form is the canonical one (unique for a given row space),
-subspaces compare equal iff their canonical bases are identical, and no pivot
-selection depends on magnitudes.  The elimination core (`_echelon`) works on
-primitive integer rows (fraction-free elimination); only the final
-normalisation builds the canonical `Fraction` RREF.  A row may hold ints or
-Fractions: an integral row enters the core as it is, a rational one has its
-denominators cleared first.  `nullspace_of_rows` builds its kernel basis as
-integer rows straight from the integer pivots.
+Results are exact and reproducible: a subspace is held in a canonical form
+(unique for a given row space), subspaces compare equal iff their canonical
+rows are identical, and no pivot selection depends on magnitudes.
 
-The derivation system and the torus weight system are built over the
-integers: the weight equations have coefficients +-1, and the derivation
-equations are linear in the structure constants, so scaling the tensor by the
-lcm of its denominators scales each equation and keeps its kernel.  Systems
-built from a subspace (centralizers, bracket products) stay in `Fraction`.
+The elimination core (`_echelon`) works on primitive integer rows
+(fraction-free elimination).  A row may hold ints or Fractions: an integral
+row enters the core as it is, a rational one has its denominators cleared
+first.  Every system built from a `LieAlgebra` is integral already, because
+the algebra clears the denominators of its structure tensor once.
+`Subspace` keeps the core's reduced rows as integers; `Fraction`s are built
+only at the dense boundary: `Subspace.basis` divides each row by its lead,
+and `rank` / `solve` normalise their own pivots.
 
-Inside the package vectors are sparse rows `{column: nonzero value}`; a
-`Subspace` keeps its RREF as `Fraction` rows and builds its dense `basis` on
-demand.
+Inside the package vectors are sparse rows `{column: nonzero value}`.
 """
 
 from __future__ import annotations
@@ -50,9 +45,9 @@ def _coerce_vector(vector: Iterable) -> tuple[Fraction, ...]:
 # ---------------------------------------------------------------------------
 # Sparse elimination core.  Rows are dicts {column: nonzero int or Fraction};
 # the reduced form is unique, so every caller sees canonical output regardless
-# of the order rows arrive in.  In between, each row is held as a primitive
-# integer multiple of itself (denominators cleared, content divided out):
-# a row operation costs integer products and one content gcd, where Fraction
+# of the order rows arrive in.  Each row is held as a primitive integer
+# multiple of itself (denominators cleared, content divided out): a row
+# operation costs integer products and one content gcd, where Fraction
 # arithmetic pays a gcd for every entry.
 # ---------------------------------------------------------------------------
 
@@ -105,15 +100,15 @@ def _eliminate(row: dict[int, int], col: int, pivot_row: dict[int, int]) -> dict
     return _primitive(row) if row else row
 
 
-def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
-    """Reduced echelon form of primitive integer rows, as {lead column: row}.
+def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, int]]:
+    """Reduced echelon form of sparse rows of ints or Fractions, as {lead column: row}.
 
-    Each returned row is primitive and zero in every other pivot column; it is
-    the canonical RREF row scaled by an integer.  Input rows may be updated in
-    place.
+    Each returned row is primitive, has a positive lead and is zero in every
+    other pivot column: it is the canonical RREF row times a positive
+    integer, so it is unique too.  The input rows are not modified.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
+    for row in map(_integer_row, rows):
         while row:
             lead = min(row)
             pivot_row = pivots.get(lead)
@@ -128,17 +123,8 @@ def _echelon(rows: Iterable[dict[int, int]]) -> dict[int, dict[int, int]]:
         row = pivots[lead]
         for col in [c for c in row if c != lead and c in pivots]:
             row = _eliminate(row, col, pivots[col])
-        pivots[lead] = row
+        pivots[lead] = row if row[lead] > 0 else {c: -v for c, v in row.items()}
     return pivots
-
-
-def _reduce_rows(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, Fraction]]:
-    """Row-reduce sparse rows; returns {pivot column: normalized row}."""
-    pivots = _echelon(_integer_row(raw) for raw in rows)
-    return {
-        lead: {c: Fraction(v, row[lead]) for c, v in row.items()}
-        for lead, row in pivots.items()
-    }
 
 
 def _rows_from_dense(entries: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
@@ -240,12 +226,12 @@ class Matrix:
 
 
 def rank(matrix: Matrix) -> int:
-    return len(_reduce_rows(_rows_from_dense(matrix.entries)))
+    return len(_echelon(_rows_from_dense(matrix.entries)))
 
 
 def nullspace_of_rows(rows: Iterable[Mapping[int, int | Fraction]], ncols: int) -> "Subspace":
     """Kernel of a sparse row system of ints or Fractions, as a canonical Subspace of Q^ncols."""
-    pivots = _echelon(_integer_row(raw) for raw in rows)
+    pivots = _echelon(rows)
     return Subspace._from_rows(_integer_kernel(pivots, ncols), ncols)
 
 
@@ -259,12 +245,12 @@ def solve(matrix: Matrix, rhs: Sequence) -> tuple[Fraction, ...]:
     for row, t in zip(rows, target):
         if t:
             row[aug_col] = t
-    pivots = _reduce_rows(rows)
+    pivots = _echelon(rows)
     if aug_col in pivots:
         raise LinearSolveError("inconsistent system")
     if len(pivots) < matrix.ncols:
         raise LinearSolveError("underdetermined system")
-    return tuple(pivots[c].get(aug_col, _ZERO) for c in range(matrix.ncols))
+    return tuple(Fraction(pivots[c].get(aug_col, 0), pivots[c][c]) for c in range(matrix.ncols))
 
 
 # ---------------------------------------------------------------------------
@@ -273,12 +259,14 @@ def solve(matrix: Matrix, rhs: Sequence) -> tuple[Fraction, ...]:
 
 
 class Subspace:
-    """Linear subspace of Q^n held as its canonical RREF basis.
+    """Linear subspace of Q^n held in a canonical integer form of its RREF basis.
 
-    The canonical rows are held sparse (`{column: Fraction}`, in pivot order);
-    `basis` is a dense view of them, built on demand.  Two Subspace objects
-    are equal iff they have the same ambient dimension and identical rows;
-    since the rows are canonical this is equality of the subspaces.
+    The canonical rows are held sparse (`{column: int}`, in pivot order): each
+    is the RREF row times the least positive integer that clears its
+    denominators, i.e. primitive with a positive lead.  `basis` divides each
+    row by its lead and returns the dense RREF, built on demand.  Two Subspace
+    objects are equal iff they have the same ambient dimension and identical
+    rows; since the rows are canonical this is equality of the subspaces.
     """
 
     __slots__ = ("ambient_dim", "_rows")
@@ -299,13 +287,13 @@ class Subspace:
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    def _set_rows(self, rows: Iterable[Mapping[int, Fraction]], ambient_dim: int) -> None:
-        pivots = _reduce_rows(rows)
+    def _set_rows(self, rows: Iterable[Mapping[int, int | Fraction]], ambient_dim: int) -> None:
+        pivots = _echelon(rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_rows", tuple(pivots[c] for c in sorted(pivots)))
 
     @classmethod
-    def _from_rows(cls, rows: Iterable[Mapping[int, Fraction]], ambient_dim: int) -> "Subspace":
+    def _from_rows(cls, rows: Iterable[Mapping[int, int | Fraction]], ambient_dim: int) -> "Subspace":
         """Span of sparse rows with columns below `ambient_dim`; rows are not checked."""
         sub = cls.__new__(cls)
         sub._set_rows(rows, ambient_dim)
@@ -319,9 +307,13 @@ class Subspace:
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The canonical RREF rows as dense tuples, in pivot order."""
+        """The canonical RREF rows as dense Fraction tuples, in pivot order."""
         n = self.ambient_dim
-        return tuple(tuple(row.get(c, _ZERO) for c in range(n)) for row in self._rows)
+        basis = []
+        for row in self._rows:
+            lead = row[min(row)]
+            basis.append(tuple(Fraction(row[c], lead) if c in row else _ZERO for c in range(n)))
+        return tuple(basis)
 
     @property
     def dim(self) -> int:

@@ -231,6 +231,18 @@ def test_contract_heisenberg_from_cut_source(capsys):
     assert lines[-1] == "limit matches target: true"
 
 
+def test_contract_heisenberg_rejects_chain_parameters(capsys):
+    # The Heisenberg exponents do not depend on N1, N2, so naming them is an error.
+    for flag in ("--n1", "--n2"):
+        assert run(["contract", "--m", "6", "--heisenberg", flag, "3", "--emit-exponents"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:") and "--heisenberg" in captured.err
+    assert run(["contract", "--m", "6", "--heisenberg", "--emit-exponents"]) == 0
+    doc = json.loads(out_of(capsys))
+    assert (doc["n1"], doc["n2"]) == (1, 1)
+
+
 def test_contract_requires_a_target(capsys):
     assert run(["contract", "--m", "4"]) == 2
     assert "needs --q" in capsys.readouterr().err

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liecontract.algebra import LieAlgebra, bracket_subspaces
 from liecontract.exactlin import (
     DimensionError,
     LinearSolveError,
@@ -159,6 +160,20 @@ def test_span_canonicalizes_generators():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Subspace(3, [[1, 0, 0], [0, 1, 1]])
+    # Negative leads and rational entries, from dense vectors and from a
+    # bracket product, reach one canonical form whose basis is the RREF.
+    c = Subspace(3, [[-2, Fraction(1, 3), 0], [0, 0, Fraction(-5, 2)]])
+    d = Subspace(3, [[6, -1, 0], [0, 0, 1]])
+    assert c == d
+    assert hash(c) == hash(d)
+    assert c.basis == ((1, Fraction(-1, 6), 0), (0, 0, 1))
+    # [X1, X2] = -2 X2 + 1/3 X3, [X1, X3] = -5/2 X3: X1 acts on an abelian ideal.
+    L = LieAlgebra(3, {(0, 1): {1: -2, 2: Fraction(1, 3)}, (0, 2): {2: Fraction(-5, 2)}})
+    product = bracket_subspaces(L, Subspace(3, [[1, 0, 0]]), Subspace(3, [[0, 1, 0]]))
+    for other in (Subspace(3, [[0, -4, Fraction(2, 3)]]), Subspace(3, [[0, 3, Fraction(-1, 2)]])):
+        assert other == product
+        assert hash(other) == hash(product)
+    assert product.basis == ((0, 1, Fraction(-1, 6)),)
 
 
 def test_subspace_dim_and_zero():
