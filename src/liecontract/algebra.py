@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from operator import add
 from typing import Iterator, Mapping, Sequence
 
 from .exactlin import (
@@ -292,12 +293,20 @@ class SeriesReport:
 
 
 def _descending_series(L: LieAlgebra, step) -> SeriesReport:
+    """Iterate `step` from the whole algebra until a zero or a repeated term.
+
+    Each new term is a proper subspace of the last, so a series has at most
+    dim + 1 terms; a longer one means `step` or subspace equality is broken,
+    and raises RuntimeError instead of looping.
+    """
     term = Subspace.full(L.dim)
     terms = [term]
     while not term.is_zero():
         nxt = step(term)
         if nxt == term:
             break
+        if len(terms) > L.dim:
+            raise RuntimeError(f"descending series has more than dim + 1 = {L.dim + 1} terms")
         terms.append(nxt)
         term = nxt
     dims = tuple(t.dim for t in terms)
@@ -350,26 +359,62 @@ def has_abelian_direct_factor(L: LieAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
-    """Nonzero integer rows of D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j], unknown D_rc at r*n+c.
+def _torus_weights(L: LieAlgebra) -> tuple[tuple[int, ...], ...]:
+    """The weight of each basis index under the diagonal torus t of L, scaled by `L._den`.
 
-    The structure constants enter scaled by `L._den`, as `L._adj` holds them.
-    Every equation is linear in them, so the scaled system has the same
-    kernel and vanishes on the same matrices, and all its rows are integral.
-    Rows come per pair (i, j) in lex order, then per output component s.
+    t is spanned by the basis elements X_a with a nonzero ad(X_a) that is
+    diagonal in the basis: every [X_a, X_r] is a multiple of X_r, so `_adj[a]`
+    holds only triples (r, r, c).  Component k of the weight of X_r is
+    `_den * l` where [X_a, X_r] = l X_r, for the k-th such a.  Two of these
+    X_a commute, since [X_a, X_b] lies in QX_a and in QX_b.  An L with no such
+    X_a (every nilpotent algebra) gives every index the empty weight ().
+    """
+    adj = L._adj
+    torus = [a for a in range(L.dim) if adj[a] and all(r == s for (r, s, _) in adj[a])]
+    weights = [[0] * len(torus) for _ in range(L.dim)]
+    for k, a in enumerate(torus):
+        for (r, _, c) in adj[a]:
+            # [X_r, X_a] = c X_r, so [X_a, X_r] = -c X_r.
+            weights[r][k] = -c
+    return tuple(map(tuple, weights))
+
+
+def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
+    """Nonzero integer rows of the weight-zero block of D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j].
+
+    The unknown D_rc sits at r*n+c.  Every unknown in the equation of the pair
+    (i, j) and output component s has torus weight w_s - w_i - w_j (see
+    `_torus_weights`), so only the equations with w_s = w_i + w_j are built:
+    they involve exactly the unknowns D_rc with w_r = w_c.  With no nonzero
+    weight this is the whole system.  The structure constants enter scaled by
+    `L._den`, as `L._adj` holds them; every equation is linear in them, so
+    the kernel is unchanged and all rows are integral.  Rows come per pair
+    (i, j) in lex order, then per output component s.
     """
     n, den, adj = L.dim, L._den, L._adj
+    weights = _torus_weights(L)
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for s, w in enumerate(weights):
+        classes.setdefault(w, []).append(s)
+    # class_of[s] is the very list classes[w_s], so `class_of[s] is outputs`
+    # tests w_s = w_i + w_j without comparing tuples.
+    class_of = [classes[w] for w in weights]
     rows: list[dict[int, int]] = []
     for i in range(n):
         for j in range(i + 1, n):
+            outputs = classes.get(tuple(map(add, weights[i], weights[j])))
+            if outputs is None:
+                continue
             fiber = L._tensor.get((i, j), {})
             terms = [(k, c.numerator * (den // c.denominator)) for k, c in fiber.items()]
-            per_s = {s: {s * n + k: c for k, c in terms} for s in range(n)} if terms else {}
+            per_s = {s: {s * n + k: c for k, c in terms} for s in outputs} if terms else {}
             # Moved to the left, [DX_i, X_j] = sum_r D_ri [X_r, X_j] gives -c D_ri
             # for each (r, s, c) in adj[j], and [X_i, DX_j] = -sum_r D_rj [X_r, X_i]
             # gives +c D_rj for each (r, s, c) in adj[i].
             for other, sign, entries in ((i, -1, adj[j]), (j, 1, adj[i])):
                 for (r, s, c) in entries:
+                    if class_of[s] is not outputs:
+                        continue
                     row = per_s.setdefault(s, {})
                     col = r * n + other
                     new = row.get(col, 0) + sign * c
@@ -382,20 +427,42 @@ def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
 
 
 def derivations(L: LieAlgebra) -> Subspace:
-    """Derivation algebra as a subspace of n x n matrices flattened row-major."""
-    return nullspace_of_rows(_derivation_rows(L), L.dim * L.dim)
+    """Derivation algebra as a subspace of n x n matrices flattened row-major.
+
+    Solved as Der(L) = ad(L) + Der(L)_0, an exact identity.  Let t be the
+    diagonal torus of `_torus_weights` and split a derivation D into its
+    components D_a of torus weight a (unknowns D_rc with w_r - w_c = a).
+    1. ad(h) is a derivation for h in t, so [ad h, .] maps Der(L) to itself
+       and acts on D_a by a(h); hence each D_a is a derivation.
+    2. D[h, x] = [Dh, x] + [h, Dx] gives [ad h, D] = -ad(Dh) for every D.
+    3. For a != 0 pick h with a(h) != 0: D_a = -ad(D_a h) / a(h) is inner.
+    So Der(L) is spanned by the kernel of the weight-zero block
+    (`_derivation_rows`, solved over the unknowns with w_r = w_c only) and
+    ad(X_i) for the X_i of nonzero weight; ad(X_i) of weight zero lies in
+    the block already.  The result is the canonical span, the same subspace
+    as the kernel of the full system.
+    """
+    n = L.dim
+    weights = _torus_weights(L)
+    rows = _derivation_rows(L)
+    # Row s of ad(X_i) holds _den * [X_i, X_r]_s over r, and [X_i, X_r] = -[X_r, X_i].
+    inner = [{s * n + r: -c for (r, s, c) in L._adj[i]} for i in range(n) if any(weights[i])]
+    if not inner:
+        # Every weight is zero: the block is the whole system and Der(L) = Der(L)_0.
+        return nullspace_of_rows(rows, n * n)
+    block = [r * n + c for r in range(n) for c in range(n) if weights[r] == weights[c]]
+    index = {u: k for k, u in enumerate(block)}
+    kernel = nullspace_of_rows([{index[u]: v for u, v in row.items()} for row in rows], len(block))
+    spanning = [{block[k]: v for k, v in row.items()} for row in kernel._rows]
+    return Subspace._from_rows(spanning + inner, n * n)
 
 
 def is_derivation(L: LieAlgebra, M: Matrix) -> bool:
-    """Check D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j] on all basis pairs.
-
-    Evaluates the rows of the derivation system on M flattened row-major.
-    """
+    """True iff M, flattened row-major, lies in derivations(L)."""
     n = L.dim
     if M.shape != (n, n):
         raise DimensionError("matrix shape does not match algebra dimension")
-    flat = [v for row in M.entries for v in row]
-    return all(not sum(v * flat[c] for c, v in row.items()) for row in _derivation_rows(L))
+    return Subspace(n * n, [[v for row in M.entries for v in row]]).is_subset(derivations(L))
 
 
 # ---------------------------------------------------------------------------

@@ -121,6 +121,14 @@ def is_complete(L: LieAlgebra) -> CompletenessCertificate:
 
     A trivial center makes ad injective, so the dimension equality forces
     every derivation to be inner.
+
+    `der_dim` is exact, not a bound: `derivations` solves Der(L) as
+    ad(L) + Der(L)_0, where t is spanned by the basis elements with diagonal
+    ad and Der(L)_0 holds the derivations of t-weight zero.  Proof: for h in
+    t, [ad h, .] preserves Der(L), so each weight component D_a of a
+    derivation is one; D[h, x] = [Dh, x] + [h, Dx] gives
+    [ad h, D] = -ad(Dh); so for a(h) != 0, D_a = -ad(D_a h) / a(h) is inner.
+    On rm(q..) the block Der(L)_0 is a small share of the n^2 unknowns.
     """
     system = weight_system(L)
     weights: dict[tuple[Fraction, ...], int] = {}

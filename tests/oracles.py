@@ -2,7 +2,8 @@
 
 Everything here deliberately avoids the package's elimination core: ranks are
 computed by a right-to-left, bottom-up, non-normalizing eliminator, derivation
-systems are assembled by probing elementary matrices through the bracket, and
+systems are assembled by probing elementary matrices through the bracket, a
+matrix is tested as a derivation on every basis pair through the bracket, and
 exponent vectors come from plain integer forward substitution.
 """
 
@@ -44,6 +45,13 @@ def rank_reverse_elimination(rows) -> int:
     return rank
 
 
+def _unit_brackets(L) -> list[list[tuple[Fraction, ...]]]:
+    """[X_a, X_b] for every pair of basis indices, from the public bracket."""
+    n = L.dim
+    units = [[Fraction(int(c == a)) for c in range(n)] for a in range(n)]
+    return [[L.bracket(units[a], units[b]) for b in range(n)] for a in range(n)]
+
+
 def derivation_nullity_bruteforce(L) -> int:
     """dim of the derivation algebra, from first principles.
 
@@ -53,15 +61,11 @@ def derivation_nullity_bruteforce(L) -> int:
     bracket is used.  Nullity = n^2 - rank with the reverse eliminator above.
     """
     n = L.dim
-    units = []
-    for i in range(n):
-        unit = [Fraction(0)] * n
-        unit[i] = Fraction(1)
-        units.append(unit)
+    brackets = _unit_brackets(L)
     rows: list[dict[int, Fraction]] = []
     for i in range(n):
         for j in range(i + 1, n):
-            w = list(L.bracket(units[i], units[j]))
+            w = brackets[i][j]
             per_s: dict[int, dict[int, Fraction]] = {}
             for r in range(n):
                 for c in range(n):
@@ -71,12 +75,12 @@ def derivation_nullity_bruteforce(L) -> int:
                             per_s.get(r, {}).get(column, Fraction(0)) + w[c]
                         )
                     if c == i:
-                        for s, val in enumerate(L.bracket(units[r], units[j])):
+                        for s, val in enumerate(brackets[r][j]):
                             if val:
                                 entry = per_s.setdefault(s, {})
                                 entry[column] = entry.get(column, Fraction(0)) - val
                     if c == j:
-                        for s, val in enumerate(L.bracket(units[i], units[r])):
+                        for s, val in enumerate(brackets[i][r]):
                             if val:
                                 entry = per_s.setdefault(s, {})
                                 entry[column] = entry.get(column, Fraction(0)) - val
@@ -85,6 +89,36 @@ def derivation_nullity_bruteforce(L) -> int:
                 if row:
                     rows.append(row)
     return n * n - rank_reverse_elimination(rows)
+
+
+def derivation_by_brackets(L, *matrices) -> bool:
+    """True iff every M satisfies D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j] on every basis pair.
+
+    Both sides are expanded by bilinearity over the brackets of basis
+    vectors, which come from the public bracket once for all the matrices.
+    """
+    n = L.dim
+    brackets = [[{s: v for s, v in enumerate(w) if v} for w in row] for row in _unit_brackets(L)]
+
+    def add(out, vec, scale):
+        for s, v in vec.items():
+            out[s] = out.get(s, 0) + scale * v
+
+    for M in matrices:
+        # cols[c] is D X_c, sparse.
+        cols = [{r: M.entries[r][c] for r in range(n) if M.entries[r][c]} for c in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                diff: dict[int, Fraction] = {}
+                for k, v in brackets[i][j].items():
+                    add(diff, cols[k], v)
+                for r, d in cols[i].items():
+                    add(diff, brackets[r][j], -d)
+                for r, d in cols[j].items():
+                    add(diff, brackets[i][r], -d)
+                if any(diff.values()):
+                    return False
+    return True
 
 
 def forward_exponents(m: int, deleted: set[int], n1: int = 1, n2: int = 1) -> tuple[int, ...]:

@@ -10,6 +10,7 @@ from liecontract.algebra import (
     MaurerCartanForm,
     NotNilpotentError,
     _derivation_rows,
+    _descending_series,
     betti1,
     bracket_subspaces,
     center,
@@ -37,7 +38,11 @@ from liecontract.families import (
     make_heisenberg_plus_abelian,
     make_model_filiform,
 )
-from oracles import derivation_nullity_bruteforce, rank_reverse_elimination
+from oracles import (
+    derivation_by_brackets,
+    derivation_nullity_bruteforce,
+    rank_reverse_elimination,
+)
 
 
 def unit(n, i):
@@ -184,6 +189,19 @@ def test_abelian_series():
     assert report.nilindex == 1
 
 
+def test_series_that_never_repeats_a_term_raises():
+    # A step alternating between two distinct lines of the plane never
+    # reaches zero nor repeats its last term, as a broken subspace equality
+    # would behave; the series stops after dim + 1 terms instead of looping.
+    lines = [Subspace(2, [unit(2, 0)]), Subspace(2, [unit(2, 1)])]
+
+    def step(term):
+        return lines[1] if term == lines[0] else lines[0]
+
+    with pytest.raises(RuntimeError, match=r"dim \+ 1"):
+        _descending_series(make_abelian(2), step)
+
+
 def test_solvable_but_not_nilpotent_extension():
     r4 = build_r_m(4)
     assert lower_central_series(r4).nilindex is None
@@ -279,21 +297,6 @@ def algebra_with_vectors(draw, min_count, max_count):
     return L, draw(st.lists(vector, min_size=min_count, max_size=max_count))
 
 
-def derivation_by_brackets(L, M):
-    """D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j] on every basis pair, via the dense bracket."""
-    n = L.dim
-    units = [unit(n, i) for i in range(n)]
-    cols = [[M.entries[s][r] for s in range(n)] for r in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            w = L.bracket(units[i], units[j])
-            lhs = tuple(sum(m * v for m, v in zip(row, w) if v) for row in M.entries)
-            a, b = L.bracket(cols[i], units[j]), L.bracket(units[i], cols[j])
-            if lhs != tuple(u + v for u, v in zip(a, b)):
-                return False
-    return True
-
-
 def test_property_algebras_are_lie():
     assert all(check_jacobi(L).ok for L in PROPERTY_ALGEBRAS.values())
 
@@ -375,8 +378,8 @@ def test_derivations_of_fractional_tensors_match_bruteforce(L):
     n = L.dim
     der = derivations(L)
     assert der.dim == derivation_nullity_bruteforce(L)
-    for vec in der.basis:
-        assert derivation_by_brackets(L, Matrix([vec[r * n : (r + 1) * n] for r in range(n)]))
+    basis = [Matrix([vec[r * n : (r + 1) * n] for r in range(n)]) for vec in der.basis]
+    assert derivation_by_brackets(L, *basis)
 
 
 # --- characteristic sequence -------------------------------------------------

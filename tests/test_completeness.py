@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from liecontract.algebra import (
+    LieAlgebra,
     betti1,
     center,
     check_jacobi,
@@ -28,6 +29,7 @@ from liecontract.families import (
     make_heisenberg_plus_abelian,
     make_model_filiform,
 )
+from oracles import derivation_by_brackets, derivation_nullity_bruteforce
 
 
 def unit(n, i):
@@ -192,3 +194,44 @@ def test_certificate_serialization():
         isinstance(v, str) for entry in doc["weight_multiplicities"] for v in entry["weight"]
     )
 
+
+# Der(L) is solved as ad(L) + Der(L)_0 over the diagonal torus of L.  A torus
+# extension holds such a torus; extending by part of the max torus leaves
+# some weights degenerate, so the block and the ad(X_i) rows both matter.
+def _sheared(L, c):
+    """L in the basis X_1 + X_c, X_2, ..., X_n, where ad of the first element has
+    diagonal and off-diagonal entries when X_1 is diagonal and ad(X_c) is not."""
+    n = L.dim
+    basis = [[Fraction(int(k == i or (i == 0 and k == c))) for k in range(n)] for i in range(n)]
+    tensor = {}
+    for i in range(n):
+        for j in range(i + 1, n):
+            v = list(L.bracket(basis[i], basis[j]))
+            v[c] -= v[0]
+            tensor[(i, j)] = {k: x for k, x in enumerate(v) if x}
+    return LieAlgebra(n, tensor)
+
+
+@pytest.mark.parametrize("q", [()] + all_q_lists(4, 2), ids=lambda q: f"g4{q}")
+def test_derivations_of_torus_extensions_match_bruteforce(q):
+    g = make_g_m_q(4, q) if q else make_g_m(4)
+    torus = max_torus(g)
+    # The full torus, its first generator and all generators but the last,
+    # and the full extension in a basis where H1 is replaced by H1 + X1.
+    full = semidirect_product(g, torus)
+    extensions = [semidirect_product(g, part) for part in (torus, torus[:1], torus[:-1])]
+    for L in extensions + [_sheared(full, len(torus))]:
+        n = L.dim
+        der = derivations(L)
+        assert der.dim == derivation_nullity_bruteforce(L)
+        basis = [Matrix([vec[r * n : (r + 1) * n] for r in range(n)]) for vec in der.basis]
+        assert derivation_by_brackets(L, *basis)
+
+
+def test_centerless_extension_with_outer_derivations():
+    g = make_g_m_q(4, (4,))
+    L = semidirect_product(g, max_torus(g)[:1])
+    cert = is_complete(L)
+    assert (cert.algebra_dim, cert.center_dim, cert.der_dim) == (10, 0, 14)
+    assert not cert.is_complete
+    assert derivation_nullity_bruteforce(L) == 14
