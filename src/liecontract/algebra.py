@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import wraps
 from itertools import combinations
 from math import lcm
 from operator import add
@@ -57,9 +58,10 @@ class LieAlgebra:
     with [X_r, X_j] = c X_s.  `_adj` is the one sparse reading of the tensor
     behind every bracket-driven invariant; spans and kernels do not change
     when the bracket is scaled by `_den`, so their systems stay integral.
+    `_memo` holds the invariants computed once per algebra (see `_per_algebra`).
     """
 
-    __slots__ = ("dim", "basis_labels", "_tensor", "_adj", "_den")
+    __slots__ = ("dim", "basis_labels", "_tensor", "_adj", "_den", "_memo")
 
     def __init__(
         self,
@@ -97,6 +99,7 @@ class LieAlgebra:
         object.__setattr__(self, "_tensor", clean)
         object.__setattr__(self, "_adj", tuple(tuple(row) for row in adj))
         object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
@@ -164,6 +167,23 @@ class LieAlgebra:
 
     def __repr__(self) -> str:
         return f"LieAlgebra(dim={self.dim}, brackets={len(self._tensor)})"
+
+
+def _per_algebra(compute):
+    """Make `compute(L)` run once per algebra; the result is kept in `L._memo`.
+
+    Only for invariants of L alone whose results are immutable (`Subspace`,
+    `SeriesReport`), so every caller can be handed the same object.
+    """
+
+    @wraps(compute)
+    def cached(L: LieAlgebra):
+        memo = L._memo
+        if compute not in memo:
+            memo[compute] = compute(L)
+        return memo[compute]
+
+    return cached
 
 
 # ---------------------------------------------------------------------------
@@ -253,6 +273,7 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
     return nullspace_of_rows(rows, L.dim)
 
 
+@_per_algebra
 def center(L: LieAlgebra) -> Subspace:
     return centralizer(L, Subspace.full(L.dim))
 
@@ -314,6 +335,7 @@ def _descending_series(L: LieAlgebra, step) -> SeriesReport:
     return SeriesReport(terms=tuple(terms), dims=dims, nilindex=nilindex)
 
 
+@_per_algebra
 def lower_central_series(L: LieAlgebra) -> SeriesReport:
     """C^(i+1) = [L, C^(i)], starting from the whole algebra."""
     full = Subspace.full(L.dim)
@@ -333,6 +355,7 @@ def is_solvable(L: LieAlgebra) -> bool:
     return derived_series(L).nilindex is not None
 
 
+@_per_algebra
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
     full = Subspace.full(L.dim)
     return bracket_subspaces(L, full, full)
@@ -472,9 +495,18 @@ def is_derivation(L: LieAlgebra, M: Matrix) -> bool:
 
 @dataclass(frozen=True)
 class CharacteristicSequence:
-    """Non-increasing Jordan block sizes of ad(X) for a maximizing X outside [L, L]."""
+    """Non-increasing Jordan block sizes of ad(X) for a maximizing X outside [L, L].
+
+    `witness` is the integer coordinate vector of the X that attained `blocks`.
+    `certified` is true when the ranks of ad(X)^k attain the bound of
+    `characteristic_sequence`, which proves `blocks` is the maximum; when it
+    is false, `blocks` is the maximum over the candidates tried, a lower
+    bound in lexicographic order.
+    """
 
     blocks: tuple[int, ...]
+    witness: tuple[int, ...]
+    certified: bool
 
     @property
     def is_linear(self) -> bool:
@@ -492,7 +524,7 @@ def _primes(count: int) -> list[int]:
     return found
 
 
-def _jordan_blocks(L: LieAlgebra, x: Sequence[Fraction]) -> tuple[int, ...]:
+def _jordan_blocks(L: LieAlgebra, x: Sequence[int]) -> tuple[int, ...]:
     n = L.dim
     ad = L.ad_matrix(x)
     ranks = [n]
@@ -510,33 +542,72 @@ def _jordan_blocks(L: LieAlgebra, x: Sequence[Fraction]) -> tuple[int, ...]:
     return tuple(blocks)
 
 
+def _rank_profile(blocks: Sequence[int]) -> tuple[int, ...]:
+    """r_k = rank ad(x)^k = sum over blocks b of max(b - k, 0), for k = 0 .. the first zero."""
+    return tuple(sum(b - k for b in blocks if b > k) for k in range(max(blocks, default=0) + 1))
+
+
+def _rank_bound(L: LieAlgebra, series: SeriesReport, center_dim: int) -> tuple[int, ...]:
+    """u_0 = n, u_k = max(0, min(dim C^k, n - dim Z - 1, u_(k-1) - 1)), up to the first zero.
+
+    `series` is the lower central series of a nilpotent L, so it ends in a
+    zero term and u reaches zero no later than that term.
+    """
+    n = L.dim
+    bound = [n]
+    while bound[-1] > 0:
+        lcs_dim = series.dims[len(bound)]
+        bound.append(max(0, min(lcs_dim, n - center_dim - 1, bound[-1] - 1)))
+    return tuple(bound)
+
+
 def characteristic_sequence(L: LieAlgebra) -> CharacteristicSequence:
     """Lexicographically maximal Jordan type of ad(X) over X outside [L, L].
 
-    The maximum is taken over a fixed candidate set: the coordinate complement
-    vectors of the derived subalgebra and one generic (prime-weighted)
-    combination of them.  For the graded families handled here the generic
-    vector attains the supremum; the sweep guards the degenerate cases.
+    The candidates are one generic (prime-weighted) combination of the
+    coordinate complement vectors of [L, L], then each complement vector; the
+    first candidate whose ranks attain the bound u below ends the search.
+
+    The bound.  For every x in L, r_k = rank ad(x)^k satisfies
+    - r_k <= dim C^k, since ad(x)^k maps L into the lower central series
+      term C^k;
+    - r_k <= n - dim Z - 1 for k >= 1, since ker ad(x) holds Z and x (and
+      r_k = 0 when x lies in Z);
+    - r_k <= r_(k-1) - 1 while r_(k-1) > 0, since ad(x) is nilpotent;
+    so r_k <= u_k with u_0 = n and
+    u_k = max(0, min(dim C^k, n - dim Z - 1, u_(k-1) - 1)).
+    A candidate with r = u has pointwise-maximal ranks.  The partial sums of
+    the conjugate of a Jordan type are n - r_k, so its type dominates the
+    type of every ad(x), and dominance implies the lexicographic order: it is
+    the maximum, and `certified` is true.  The set of x with r(x) = u is
+    Zariski-open, so when it is non-empty it is dense and meets the open
+    complement of [L, L]: the maximum over L is the one outside [L, L].  When no
+    candidate attains u (the bound need not be attainable) the result is the
+    maximum over all candidates, a lower bound, and `certified` is false.
     """
-    if not is_nilpotent(L):
+    series = lower_central_series(L)
+    if series.nilindex is None:
         raise NotNilpotentError("characteristic sequence requires a nilpotent algebra")
     n = L.dim
     if n == 0:
-        return CharacteristicSequence(())
-    derived = derived_subalgebra(L)
-    pivot_cols = {min(row) for row in derived._rows}
+        return CharacteristicSequence((), (), True)
+    bound = _rank_bound(L, series, center(L).dim)
+    pivot_cols = {min(row) for row in derived_subalgebra(L)._rows}
     complement = [c for c in range(n) if c not in pivot_cols]
-    candidates: list[list[Fraction]] = []
-    generic = [_ZERO] * n
+    generic = [0] * n
     for weight, c in zip(_primes(len(complement)), complement):
-        generic[c] = Fraction(weight)
-    candidates.append(generic)
-    for c in complement:
-        single = [_ZERO] * n
-        single[c] = Fraction(1)
-        candidates.append(single)
-    best = max(_jordan_blocks(L, x) for x in candidates)
-    return CharacteristicSequence(best)
+        generic[c] = weight
+    candidates = [generic] + [[int(c == d) for d in range(n)] for c in complement]
+    best: CharacteristicSequence | None = None
+    for x in candidates:
+        blocks = _jordan_blocks(L, x)
+        certified = _rank_profile(blocks) == bound
+        if best is None or blocks > best.blocks:
+            best = CharacteristicSequence(blocks, tuple(x), certified)
+        if certified:
+            # Its type dominates every other, so no later candidate exceeds it.
+            break
+    return best
 
 
 # ---------------------------------------------------------------------------

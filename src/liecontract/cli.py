@@ -132,9 +132,11 @@ def _invariant_data(algebra: LieAlgebra, label: str) -> dict:
 
     `rank` is the diagonal rank in the given basis: the torus rank for the
     families' adapted bases, only a lower bound for an `--in` file.
+    `char_seq` is exact when `char_seq_certified` is true and a lower bound
+    otherwise; `char_seq_witness` is the X whose ad(X) attained it.
     """
     series = lower_central_series(algebra)
-    nilpotent = series.nilindex is not None
+    sequence = characteristic_sequence(algebra) if series.nilindex is not None else None
     data = {
         "label": label,
         "dim": algebra.dim,
@@ -143,7 +145,9 @@ def _invariant_data(algebra: LieAlgebra, label: str) -> dict:
         "center_dim": center(algebra).dim,
         "b1": betti1(algebra),
         "der_dim": derivations(algebra).dim,
-        "char_seq": list(characteristic_sequence(algebra).blocks) if nilpotent else None,
+        "char_seq": list(sequence.blocks) if sequence else None,
+        "char_seq_witness": list(sequence.witness) if sequence else None,
+        "char_seq_certified": sequence.certified if sequence else None,
         "rank": diagonal_rank(algebra),
     }
     return data
@@ -270,7 +274,11 @@ def _cmd_check(args) -> int:
 
     exponents = solve_exponents(m, q, 1, 1)
     limit = limit_law(scale_law(source, exponents))
-    record(limit == target, "contraction limit equals the cut family")
+    match = limit == target
+    record(match, "contraction limit equals the cut family")
+    if match:
+        # One object for the checks below, so each invariant of it is computed once.
+        limit = target
 
     record(check_redundancy(m, q), "pairing balance independent of the parameters")
 

@@ -13,16 +13,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import LieAlgebra, center, derivations
+from .algebra import LieAlgebra, _per_algebra, center, derivations
 from .exactlin import Subspace, nullspace_of_rows
 from .families import make_g_m, make_g_m_q
 
 
+@_per_algebra
 def weight_system(L: LieAlgebra) -> Subspace:
     """Solutions w of w_i + w_j = w_k, one equation per nonzero tensor entry.
 
     The rows are integral (coefficients +1 and -1; k = i or j cancels a
-    term).  The solution space comes back in canonical echelon form.
+    term).  The solution space comes back in canonical echelon form, computed
+    once per algebra.
     """
     rows = []
     for (i, j, k, _) in L.entries():

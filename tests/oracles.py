@@ -1,10 +1,11 @@
 """Independent re-implementations used to cross-check the main solvers.
 
 Everything here deliberately avoids the package's elimination core: ranks are
-computed by a right-to-left, bottom-up, non-normalizing eliminator, derivation
-systems are assembled by probing elementary matrices through the bracket, a
-matrix is tested as a derivation on every basis pair through the bracket, and
-exponent vectors come from plain integer forward substitution.
+computed by a right-to-left, bottom-up, non-normalizing eliminator, Jordan
+types come from the ranks of dense powers of ad(x), derivation systems are
+assembled by probing elementary matrices through the bracket, a matrix is
+tested as a derivation on every basis pair through the bracket, and exponent
+vectors come from plain integer forward substitution.
 """
 
 from __future__ import annotations
@@ -50,6 +51,28 @@ def _unit_brackets(L) -> list[list[tuple[Fraction, ...]]]:
     n = L.dim
     units = [[Fraction(int(c == a)) for c in range(n)] for a in range(n)]
     return [[L.bracket(units[a], units[b]) for b in range(n)] for a in range(n)]
+
+
+def jordan_type_by_powers(L, x) -> tuple[int, ...]:
+    """Jordan block sizes of the nilpotent ad(x), non-increasing.
+
+    ad(x) is assembled column by column from the public bracket, its powers
+    by schoolbook products, and each rank r_k = rank ad(x)^k by the reverse
+    eliminator above.  r_(k-1) - r_k blocks have size at least k, and the
+    block sizes are the conjugate of that count.
+    """
+    n = L.dim
+    units = [[Fraction(int(c == a)) for c in range(n)] for a in range(n)]
+    columns = [L.bracket(x, units[c]) for c in range(n)]
+    ad = [[columns[c][r] for c in range(n)] for r in range(n)]
+    power, ranks = ad, [n]
+    while ranks[-1]:
+        if len(ranks) > n:
+            raise ValueError("ad(x) is not nilpotent")
+        ranks.append(rank_reverse_elimination([{c: v for c, v in enumerate(row) if v} for row in power]))
+        power = [[sum(row[k] * ad[k][c] for k in range(n) if row[k]) for c in range(n)] for row in power]
+    at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
+    return tuple(sum(1 for a in at_least if a >= j) for j in range(1, max(at_least, default=0) + 1))
 
 
 def derivation_nullity_bruteforce(L) -> int:

@@ -29,9 +29,10 @@ from liecontract.algebra import (
     lower_central_series,
     to_json_dict,
 )
-from liecontract.completeness import build_r_m
+from liecontract.completeness import build_r_m, weight_system
 from liecontract.exactlin import DimensionError, Matrix, Subspace
 from liecontract.families import (
+    all_q_lists,
     make_abelian,
     make_g_m,
     make_g_m_q,
@@ -41,6 +42,7 @@ from liecontract.families import (
 from oracles import (
     derivation_by_brackets,
     derivation_nullity_bruteforce,
+    jordan_type_by_powers,
     rank_reverse_elimination,
 )
 
@@ -416,6 +418,54 @@ def test_characteristic_sequence_blocks_sum_to_dim():
 def test_characteristic_sequence_requires_nilpotent():
     with pytest.raises(NotNilpotentError):
         characteristic_sequence(build_r_m(4))
+
+
+def complement_candidates(L):
+    """The prime-weighted vector on the coordinate complement of [L, L], then its unit vectors."""
+    leads = {next(c for c, v in enumerate(row) if v) for row in derived_subalgebra(L).basis}
+    complement = [c for c in range(L.dim) if c not in leads]
+    primes = [p for p in range(2, 100) if all(p % d for d in range(2, p))]
+    generic = [0] * L.dim
+    for p, c in zip(primes, complement):
+        generic[c] = p
+    return [generic] + [[int(c == d) for d in range(L.dim)] for c in complement]
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_characteristic_sequence_is_certified_on_the_grid(m):
+    for q in [()] + list(all_q_lists(m, 2)):
+        L = make_g_m_q(m, q) if q else make_g_m(m)
+        seq = characteristic_sequence(L)
+        candidates = complement_candidates(L)
+        assert seq.certified, (m, q)
+        assert seq.witness == tuple(candidates[0]), (m, q)
+        assert seq.blocks == max(jordan_type_by_powers(L, x) for x in candidates), (m, q)
+
+
+def test_characteristic_sequence_below_the_rank_bound_is_not_certified():
+    # The free 4-step nilpotent algebra on X1, X2: the rank bound is
+    # u = 8,4,3,2,0, and no candidate gets past the ranks 8,4,2,1,0.
+    L = LieAlgebra(8, {
+        (0, 1): {2: 1}, (0, 2): {3: 1}, (1, 2): {4: 1},
+        (0, 3): {5: 1}, (1, 3): {6: 1}, (0, 4): {6: 1}, (1, 4): {7: 1},
+    })
+    assert check_jacobi(L).ok
+    seq = characteristic_sequence(L)
+    assert seq.blocks == (4, 2, 1, 1)
+    assert not seq.certified
+    assert seq.blocks == max(jordan_type_by_powers(L, x) for x in complement_candidates(L))
+    assert jordan_type_by_powers(L, seq.witness) == seq.blocks
+
+
+def test_invariants_are_computed_once_per_algebra():
+    L = make_g_m_q(5, (3, 6))
+    for invariant in (lower_central_series, center, derived_subalgebra, weight_system):
+        assert invariant(L) is invariant(L)
+    assert lower_central_series(L) == lower_central_series(make_g_m_q(5, (3, 6)))
+    with pytest.raises(AttributeError):
+        L.dim = 3
+    with pytest.raises(AttributeError):
+        L._memo = {}
 
 
 # --- global invariants --------------------------------------------------------

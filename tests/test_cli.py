@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from liecontract.algebra import from_json_dict, to_json_dict
 from liecontract.cli import run
+from liecontract.completeness import build_r_m
 from liecontract.families import FamilySpec, make_g_m_q
 
 
@@ -58,8 +59,19 @@ def test_invariants_json_format(capsys):
     data = json.loads(out_of(capsys))
     assert data["label"] == "g4(4)"
     assert data["char_seq"] == [3, 3, 2, 1]
+    assert data["char_seq_witness"] == [2, 3, 0, 5, 0, 7, 0, 0, 0]
+    assert data["char_seq_certified"] is True
     assert data["der_dim"] == 22
     assert data["rank"] == 3
+
+
+def test_invariants_json_of_a_non_nilpotent_algebra(tmp_path, capsys):
+    source = tmp_path / "r4.json"
+    source.write_text(json.dumps(to_json_dict(build_r_m(4))))
+    assert run(["invariants", "--in", str(source), "--format", "json"]) == 0
+    data = json.loads(out_of(capsys))
+    assert data["nilindex"] is None
+    assert data["char_seq"] is data["char_seq_witness"] is data["char_seq_certified"] is None
 
 
 def test_invariants_from_file(tmp_path, capsys):
@@ -426,5 +438,8 @@ def test_invariants_are_basis_independent_in_a_dense_basis(tmp_path, capsys):
     adapted = json.loads(out_of(capsys))
     assert run(["invariants", "--in", str(source), "--format", "json"]) == 0
     panel = json.loads(out_of(capsys))
-    for key in ("dim", "nilindex", "lcs_dims", "center_dim", "b1", "der_dim"):
+    for key in ("dim", "nilindex", "lcs_dims", "center_dim", "b1", "der_dim", "char_seq"):
         assert panel[key] == adapted[key], key
+    # The generic candidate is supported on the b1 coordinates outside [L, L].
+    assert panel["char_seq_certified"] is True
+    assert sum(1 for v in panel["char_seq_witness"] if v) == panel["b1"]
