@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import combinations
 from math import lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
@@ -173,7 +172,8 @@ def _per_algebra(compute):
     """Make `compute(L)` run once per algebra; the result is kept in `L._memo`.
 
     Only for invariants of L alone whose results are immutable (`Subspace`,
-    `SeriesReport`), so every caller can be handed the same object.
+    `SeriesReport`, `JacobiReport`), so every caller can be handed the same
+    object.
     """
 
     @wraps(compute)
@@ -236,22 +236,52 @@ class JacobiReport:
     """Violations as (i, j, l, s, residual) on basis triples i < j < l."""
 
 
+@_per_algebra
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
-    """Evaluate [[X_i,X_j],X_l] + [[X_j,X_l],X_i] + [[X_l,X_i],X_j] on all triples."""
-    violations = []
-    for (i, j, l) in combinations(range(L.dim), 3):
-        residual: dict[int, Fraction] = {}
-        for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-            for k, c1 in L.fiber(a, b).items():
-                for s, c2 in L.fiber(k, c).items():
-                    new = residual.get(s, _ZERO) + c1 * c2
-                    if new:
-                        residual[s] = new
-                    else:
-                        residual.pop(s, None)
-        for s in sorted(residual):
-            violations.append((i, j, l, s, residual[s]))
-    return JacobiReport(ok=not violations, violations=tuple(violations))
+    """Evaluate [[X_i,X_j],X_l] + [[X_j,X_l],X_i] + [[X_l,X_i],X_j] on all triples i < j < l.
+
+    The sums are taken in integers from `L._adj`, which holds the structure
+    constants times `_den`; every term is a product of two of them, so a
+    residual is reported as Fraction(sum, _den**2).  Only the triples with a
+    nonzero term are visited: a pair a < b with [X_a, X_b] holding X_k, and
+    a third index c with [X_k, X_c] != 0.
+    """
+    adj, n = L._adj, L.dim
+    # by_third[k][c] lists the (s, w) with [X_c, X_k] holding w X_s.
+    by_third: list[dict[int, list[tuple[int, int]]]] = []
+    for row in adj:
+        terms: dict[int, list[tuple[int, int]]] = {}
+        for (c, s, w) in row:
+            terms.setdefault(c, []).append((s, w))
+        by_third.append(terms)
+    sums: dict[tuple[int, int, int], list[int]] = {}
+    for b, row in enumerate(adj):
+        for (a, k, c1) in row:
+            if a > b:
+                continue
+            # [X_a, X_b] holds c1 X_k, so [[X_a, X_b], X_c] holds -c1 w X_s for
+            # each (s, w) in by_third[k][c]; (a, b) is the first, second or
+            # (reversed, so with the sign flipped) third pair of the sorted triple.
+            for c, terms in by_third[k].items():
+                if c > b:
+                    key, f = (a, b, c), -c1
+                elif c < a:
+                    key, f = (c, a, b), -c1
+                elif c == a or c == b:
+                    continue
+                else:
+                    key, f = (a, c, b), c1
+                residual = sums.setdefault(key, [0] * n)
+                for s, w in terms:
+                    residual[s] += f * w
+    scale = L._den**2
+    violations = tuple(
+        (i, j, l, s, Fraction(v, scale))
+        for (i, j, l), residual in sorted(sums.items())
+        for s, v in enumerate(residual)
+        if v
+    )
+    return JacobiReport(ok=not violations, violations=violations)
 
 
 # ---------------------------------------------------------------------------

@@ -133,9 +133,10 @@ def is_complete(L: LieAlgebra) -> CompletenessCertificate:
     On rm(q..) the block Der(L)_0 is a small share of the n^2 unknowns.
     """
     system = weight_system(L)
+    basis = system.basis
     weights: dict[tuple[Fraction, ...], int] = {}
     for i in range(L.dim):
-        weight = tuple(w[i] for w in system.basis)
+        weight = tuple(w[i] for w in basis)
         weights[weight] = weights.get(weight, 0) + 1
     multiplicities = tuple(sorted(weights.items()))
     return CompletenessCertificate(

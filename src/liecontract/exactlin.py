@@ -5,13 +5,17 @@ Results are exact and reproducible: a subspace is held in a canonical form
 rows are identical, and no pivot selection depends on magnitudes.
 
 The elimination core (`_echelon`) works on primitive integer rows
-(fraction-free elimination).  A row may hold ints or Fractions: an integral
-row enters the core as it is, a rational one has its denominators cleared
-first.  Every system built from a `LieAlgebra` is integral already, because
-the algebra clears the denominators of its structure tensor once.
-`Subspace` keeps the core's reduced rows as integers; `Fraction`s are built
-only at the dense boundary: `Subspace.basis` divides each row by its lead,
-and `rank` / `solve` normalise their own pivots.
+(fraction-free elimination).  It keeps its pivot rows reduced as rows
+arrive (incremental Gauss-Jordan, no back-substitution pass), so the pivot
+rows are the canonical RREF at every step and a dependent row costs one
+elimination per pivot column it holds.  A row may hold ints or Fractions:
+an integral row enters the core as it is, a rational one has its
+denominators cleared first.  Every system built from a `LieAlgebra` is
+integral already, because the algebra clears the denominators of its
+structure tensor once.  `Subspace` keeps the core's reduced rows as
+integers; `Fraction`s are built only at the dense boundary:
+`Subspace.basis` divides each row by its lead, and `rank` / `solve`
+normalise their own pivots.
 
 Inside the package vectors are sparse rows `{column: nonzero value}`.
 """
@@ -103,27 +107,45 @@ def _eliminate(row: dict[int, int], col: int, pivot_row: dict[int, int]) -> dict
 def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, int]]:
     """Reduced echelon form of sparse rows of ints or Fractions, as {lead column: row}.
 
-    Each returned row is primitive, has a positive lead and is zero in every
-    other pivot column: it is the canonical RREF row times a positive
-    integer, so it is unique too.  The input rows are not modified.
+    Incremental Gauss-Jordan: the pivot rows are kept reduced at every step,
+    and there is no back-substitution pass.  An incoming row is eliminated
+    once at each pivot column it holds; since every pivot row is zero in the
+    other pivot columns, that brings in no new pivot column, so a dependent
+    row reaches zero after exactly that many eliminations.  What is left, if
+    anything, becomes a pivot row with lead min(row), made positive, and that
+    column is cleared from the older pivot rows that hold it.  Their leads
+    are smaller, so they keep their leads and signs.
+
+    So at every step each pivot row is primitive, has a positive lead at its
+    minimum column and is zero in every other pivot column: it is the
+    canonical RREF row times a positive integer, so the result is unique and
+    does not depend on the order of the rows.  The input rows are not
+    modified, and no returned row is one of them.
     """
     pivots: dict[int, dict[int, int]] = {}
-    for row in map(_integer_row, rows):
-        while row:
-            lead = min(row)
-            pivot_row = pivots.get(lead)
-            if pivot_row is None:
-                pivots[lead] = row
-                break
-            row = _eliminate(row, lead, pivot_row)
-    # Back-substitute from the last pivot up: the rows with later leads are
-    # already reduced, so clearing the pivot columns a row holds brings in no
-    # new ones.
-    for lead in sorted(pivots, reverse=True):
-        row = pivots[lead]
-        for col in [c for c in row if c != lead and c in pivots]:
+    # Column -> leads of the pivot rows that may hold it; checked when used.
+    holders: dict[int, list[int]] = {}
+    # Rows are taken by descending first column, so a new pivot's lead mostly
+    # lies below the older leads and no older row holds it.  The order
+    # changes the cost, not the result.
+    for row in map(_integer_row, sorted(filter(None, rows), key=min, reverse=True)):
+        for col in row.keys() & pivots.keys():
             row = _eliminate(row, col, pivots[col])
-        pivots[lead] = row if row[lead] > 0 else {c: -v for c, v in row.items()}
+        if not row:
+            continue
+        lead = min(row)
+        if row[lead] < 0:
+            row = {c: -v for c, v in row.items()}
+        others = [c for c in row if c != lead]
+        for older in holders.pop(lead, ()):
+            older_row = pivots[older]
+            if lead in older_row:
+                pivots[older] = _eliminate(older_row, lead, row)
+                for c in others:
+                    holders.setdefault(c, []).append(older)
+        for c in others:
+            holders.setdefault(c, []).append(lead)
+        pivots[lead] = row
     return pivots
 
 

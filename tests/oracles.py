@@ -4,13 +4,17 @@ Everything here deliberately avoids the package's elimination core: ranks are
 computed by a right-to-left, bottom-up, non-normalizing eliminator, Jordan
 types come from the ranks of dense powers of ad(x), derivation systems are
 assembled by probing elementary matrices through the bracket, a matrix is
-tested as a derivation on every basis pair through the bracket, and exponent
-vectors come from plain integer forward substitution.
+tested as a derivation on every basis pair through the bracket, exponent
+vectors come from plain integer forward substitution, the Jacobi sum is
+swept over every basis triple from the Fraction fibers of the tensor, and a
+reduced row echelon form comes from textbook Gauss-Jordan on dense Fraction
+rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 
 def rank_reverse_elimination(rows) -> int:
@@ -152,3 +156,46 @@ def forward_exponents(m: int, deleted: set[int], n1: int = 1, n2: int = 1) -> tu
         a[j] = a[1] + a[j - 1] + (1 if j in deleted else 0)
     a[2 * m + 1] = a[2] + a[2 * m - 1]
     return tuple(a[i] for i in range(1, 2 * m + 2))
+
+
+def jacobi_violations_by_fibers(L) -> tuple[tuple[int, int, int, int, Fraction], ...]:
+    """(i, j, l, s, residual) for every nonzero component of the Jacobi sum, in lex order.
+
+    Every triple i < j < l is visited, and each bracket of basis vectors is
+    read as a Fraction fiber from `L.fiber`, the tensor as given, not its
+    integer adjacency lists.
+    """
+    violations = []
+    for (i, j, l) in combinations(range(L.dim), 3):
+        residual: dict[int, Fraction] = {}
+        for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
+            for k, c1 in L.fiber(a, b).items():
+                for s, c2 in L.fiber(k, c).items():
+                    residual[s] = residual.get(s, Fraction(0)) + c1 * c2
+        violations.extend((i, j, l, s, residual[s]) for s in sorted(residual) if residual[s])
+    return tuple(violations)
+
+
+def rref_gauss_jordan(rows, ncols: int) -> dict[int, dict[int, Fraction]]:
+    """Reduced row echelon form as {pivot column: row with 1 there}, by textbook Gauss-Jordan.
+
+    The rows are made dense Fraction lists and reduced column by column: swap
+    a row with a nonzero entry up, divide it by that entry, and clear the
+    column from every other row.
+    """
+    work = [[Fraction(row.get(c, 0)) for c in range(ncols)] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        top = len(pivots)
+        found = next((i for i in range(top, len(work)) if work[i][col]), None)
+        if found is None:
+            continue
+        work[top], work[found] = work[found], work[top]
+        lead = work[top][col]
+        work[top] = [v / lead for v in work[top]]
+        for i, other in enumerate(work):
+            factor = other[col]
+            if i != top and factor:
+                work[i] = [a - factor * b for a, b in zip(other, work[top])]
+        pivots.append(col)
+    return {col: {c: v for c, v in enumerate(work[i]) if v} for i, col in enumerate(pivots)}

@@ -459,7 +459,7 @@ def test_characteristic_sequence_below_the_rank_bound_is_not_certified():
 
 def test_invariants_are_computed_once_per_algebra():
     L = make_g_m_q(5, (3, 6))
-    for invariant in (lower_central_series, center, derived_subalgebra, weight_system):
+    for invariant in (check_jacobi, lower_central_series, center, derived_subalgebra, weight_system):
         assert invariant(L) is invariant(L)
     assert lower_central_series(L) == lower_central_series(make_g_m_q(5, (3, 6)))
     with pytest.raises(AttributeError):

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,10 +10,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from liecontract.algebra import from_json_dict, to_json_dict
+from liecontract.algebra import LieAlgebra, MalformedAlgebraError, check_jacobi, from_json_dict, to_json_dict
 from liecontract.cli import run
 from liecontract.completeness import build_r_m
 from liecontract.families import FamilySpec, make_g_m_q
+from oracles import jacobi_violations_by_fibers
 
 
 def out_of(capsys):
@@ -443,3 +445,27 @@ def test_invariants_are_basis_independent_in_a_dense_basis(tmp_path, capsys):
     # The generic candidate is supported on the b1 coordinates outside [L, L].
     assert panel["char_seq_certified"] is True
     assert sum(1 for v in panel["char_seq_witness"] if v) == panel["b1"]
+
+
+def test_integer_jacobi_matches_the_fiber_oracle_on_mutants_of_a_dense_law(capsys):
+    assert run(["gen", "--family", "gmq", "--m", "4", "--q", "4"]) == 0
+    dense = in_basis(json.loads(out_of(capsys)), DENSE_BASIS)
+    law = from_json_dict(dense)
+    assert law._den > 1
+    assert check_jacobi(law).violations == jacobi_violations_by_fibers(law) == ()
+    rng = random.Random(3)
+    violating = 0
+    for _ in range(12):
+        tensor = {pair: dict(fiber) for pair, fiber in law._tensor.items()}
+        pair = rng.choice(sorted(tensor))
+        k = rng.choice(sorted(tensor[pair]))
+        tensor[pair][k] += Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 7)))
+        mutant = LieAlgebra(law.dim, tensor)
+        report = check_jacobi(mutant)
+        assert report.violations == jacobi_violations_by_fibers(mutant)
+        assert report.ok == (not report.violations)
+        violating += not report.ok
+        if not report.ok:
+            with pytest.raises(MalformedAlgebraError, match=r"Jacobi identity fails on the basis triple"):
+                from_json_dict(to_json_dict(mutant))
+    assert violating == 12

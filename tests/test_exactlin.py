@@ -1,8 +1,12 @@
+import copy
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liecontract import exactlin
 from liecontract.algebra import LieAlgebra, bracket_subspaces
 from liecontract.exactlin import (
     DimensionError,
@@ -10,10 +14,11 @@ from liecontract.exactlin import (
     Matrix,
     Subspace,
     nullspace_of_rows,
+    _echelon,
     rank,
     solve,
 )
-from oracles import rank_reverse_elimination
+from oracles import rank_reverse_elimination, rref_gauss_jordan
 
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -129,6 +134,110 @@ def test_reduction_matches_the_reverse_eliminator(system):
     for vec in kernel.basis:
         for row in rows:
             assert sum(a * v for a, v in zip(row, vec)) == 0
+
+
+# The elimination core keeps its pivot rows reduced as rows arrive, so its
+# output is the canonical RREF (in primitive integer form) after every row.
+
+
+def rref_of(pivots):
+    """`_echelon` rows divided by their leads, after checking each is primitive with a positive lead."""
+    out = {}
+    for lead, row in pivots.items():
+        assert min(row) == lead and row[lead] > 0
+        assert all(type(v) is int and v for v in row.values())
+        assert gcd(*row.values()) == 1
+        out[lead] = {c: Fraction(v, row[lead]) for c, v in row.items()}
+    return out
+
+
+sparse_entries = st.one_of(
+    st.just(0),
+    st.integers(-6, 6),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4),
+)
+
+
+@st.composite
+def sparse_systems(draw):
+    """(ncols, rows): sparse rows of ints, Fractions and explicit zeros, some of them dependent."""
+    ncols = draw(st.integers(1, 8))
+    rows = draw(
+        st.lists(st.dictionaries(st.integers(0, ncols - 1), sparse_entries, max_size=ncols), max_size=8)
+    )
+    for _ in range(draw(st.integers(0, 4))):
+        if not rows:
+            break
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        u, v = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+        rows.append({c: a * u.get(c, 0) + b * v.get(c, 0) for c in u.keys() | v.keys()})
+    return ncols, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_systems(), st.randoms(use_true_random=False))
+def test_echelon_is_the_rref_in_any_row_order(system, rnd):
+    ncols, rows = system
+    before = copy.deepcopy(rows)
+    pivots = _echelon(rows)
+    assert rows == before
+    assert not {id(row) for row in pivots.values()} & {id(row) for row in rows}
+    assert rref_of(pivots) == rref_gauss_jordan(rows, ncols)
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert _echelon(shuffled) == pivots
+
+
+def counting_eliminations(monkeypatch):
+    """Wrap the core's row operation; the returned list gets one entry per call."""
+    calls = []
+    eliminate = exactlin._eliminate
+
+    def counted(row, col, pivot_row):
+        calls.append(col)
+        return eliminate(row, col, pivot_row)
+
+    monkeypatch.setattr(exactlin, "_eliminate", counted)
+    return calls
+
+
+def test_a_new_lead_clears_its_column_from_the_older_pivot_rows(monkeypatch):
+    calls = counting_eliminations(monkeypatch)
+    first = {1: 1, 2: 3, 3: 1}
+    below = {0: 2, 2: -1, 3: 5}
+    # first + below + X_2: after two eliminations its lead is 2, above both
+    # older leads and held by both older rows.
+    above = {0: 2, 1: 1, 2: 3, 3: 6}
+    rows = [first, below, above]
+    pivots = _echelon(rows)
+    assert pivots == {0: {0: 2, 3: 5}, 1: {1: 1, 3: 1}, 2: {2: 1}}
+    assert rref_of(pivots) == rref_gauss_jordan(rows, 4)
+    assert sorted(calls) == [0, 1, 2, 2]
+    assert rows == [{1: 1, 2: 3, 3: 1}, {0: 2, 2: -1, 3: 5}, {0: 2, 1: 1, 2: 3, 3: 6}]
+
+
+def test_a_dependent_row_costs_one_elimination_per_pivot_column_it_holds(monkeypatch):
+    rng = random.Random(7)
+    ncols = 9
+    independent = [{c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in range(ncols)} for _ in range(6)]
+    pivots = _echelon(independent)
+    assert sorted(pivots) == [0, 1, 2, 3, 4, 5]
+    # Each dependent row combines the pivot row of column 0 with two others, so
+    # it holds exactly three pivot columns; with column 0 it arrives last.
+    dependent = []
+    for _ in range(5):
+        row: dict[int, int] = {}
+        for lead in [0] + rng.sample(range(1, 6), 2):
+            k = rng.choice((-2, -1, 1, 3))
+            for c, v in pivots[lead].items():
+                row[c] = row.get(c, 0) + k * v
+        dependent.append(row)
+    assert all(len(row.keys() & pivots.keys()) == 3 for row in dependent)
+    calls = counting_eliminations(monkeypatch)
+    assert _echelon(independent) == pivots
+    alone = len(calls)
+    assert _echelon(independent + dependent) == pivots
+    assert len(calls) - 2 * alone == 3 * len(dependent)
 
 
 def test_nullspace_of_identity_is_zero():
