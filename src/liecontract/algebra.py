@@ -556,7 +556,9 @@ def _primes(count: int) -> list[int]:
 
 def _jordan_blocks(L: LieAlgebra, x: Sequence[int]) -> tuple[int, ...]:
     n = L.dim
-    ad = L.ad_matrix(x)
+    # ad(_den * x) is integral and has the ranks of ad(x), so its powers keep
+    # denominator 1 instead of _den**k.
+    ad = L.ad_matrix([L._den * v for v in x])
     ranks = [n]
     power = Matrix.identity(n)
     while ranks[-1] > 0:
@@ -683,8 +685,10 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
 
     Raises MalformedAlgebraError on a missing or mistyped field (including a
     non-string 'family.family' label), an index out of range, a repeated
-    (i, j) pair, an unparseable coefficient, or a tensor that breaks the
-    Jacobi identity (the message names the first failing triple).
+    (i, j) pair, a target index named twice in one 'coeffs' object (also
+    through aliases such as "3" and "03"), an unparseable coefficient, or a
+    tensor that breaks the Jacobi identity (the message names the first
+    failing triple).
     """
     if not isinstance(data, Mapping):
         raise MalformedAlgebraError("algebra document must be a JSON object")
@@ -720,6 +724,8 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
             except (TypeError, ValueError):
                 raise MalformedAlgebraError(f"{where}: bad target index {key!r}") from None
             k = _json_index(k, f"{where}: target index", 1, dim)
+            if k - 1 in fiber:
+                raise MalformedAlgebraError(f"{where}: duplicate target index {k}")
             fiber[k - 1] = _json_coefficient(c, where)
     algebra = LieAlgebra(dim, tensor, labels)
     report = check_jacobi(algebra)

@@ -153,11 +153,21 @@ def _invariant_data(algebra: LieAlgebra, label: str) -> dict:
     return data
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a key repeated in the object is an error, not a silent overwrite."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedAlgebraError(f"duplicate key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
+
+
 def _cmd_invariants(args) -> int:
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
             try:
-                payload = json.load(handle)
+                payload = json.load(handle, object_pairs_hook=_unique_keys)
             except RecursionError:
                 raise MalformedAlgebraError("input JSON is nested too deeply") from None
         algebra = from_json_dict(payload)

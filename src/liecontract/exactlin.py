@@ -7,8 +7,12 @@ rows are identical, and no pivot selection depends on magnitudes.
 The elimination core (`_echelon`) works on primitive integer rows
 (fraction-free elimination).  It keeps its pivot rows reduced as rows
 arrive (incremental Gauss-Jordan, no back-substitution pass), so the pivot
-rows are the canonical RREF at every step and a dependent row costs one
-elimination per pivot column it holds.  A row may hold ints or Fractions:
+rows are the canonical RREF at every step.  An incoming row is reduced
+against all the pivot columns it holds in one pass, with one content gcd at
+the end (as in Bareiss's fraction-free elimination, the content is removed
+once per reduction, not after every step); since each pivot row is zero in
+the other pivot columns, that pass gives the same primitive row as
+eliminating the columns one at a time.  A row may hold ints or Fractions:
 an integral row enters the core as it is, a rational one has its
 denominators cleared first.  Every system built from a `LieAlgebra` is
 integral already, because the algebra clears the denominators of its
@@ -24,7 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -104,17 +108,50 @@ def _eliminate(row: dict[int, int], col: int, pivot_row: dict[int, int]) -> dict
     return _primitive(row) if row else row
 
 
+def _reduce(
+    row: dict[int, int], held: Collection[int], pivots: Mapping[int, dict[int, int]]
+) -> dict[int, int]:
+    """Primitive m*row - sum over c in `held` of row[c]*(m/p_c)*pivots[c], m = lcm of the p_c.
+
+    p_c is the lead of pivots[c].  Every pivot row is zero in the other pivot
+    columns, so the sum clears each held column and brings none back: the
+    result is the primitive row that eliminating the held columns one at a
+    time gives, for one content gcd instead of one per column.  `row` may be
+    updated in place; callers use only the returned row.
+    """
+    m = 1
+    for col in held:
+        m = lcm(m, pivots[col][col])
+    if m != 1:
+        row = {c: m * v for c, v in row.items()}
+    for col in held:
+        pivot_row = pivots[col]
+        f = row.pop(col) // pivot_row[col]
+        for c, v in pivot_row.items():
+            if c != col:
+                new = row.get(c, 0) - f * v
+                if new:
+                    row[c] = new
+                else:
+                    del row[c]
+    return _primitive(row) if row else row
+
+
 def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, int]]:
     """Reduced echelon form of sparse rows of ints or Fractions, as {lead column: row}.
 
     Incremental Gauss-Jordan: the pivot rows are kept reduced at every step,
-    and there is no back-substitution pass.  An incoming row is eliminated
-    once at each pivot column it holds; since every pivot row is zero in the
-    other pivot columns, that brings in no new pivot column, so a dependent
-    row reaches zero after exactly that many eliminations.  What is left, if
-    anything, becomes a pivot row with lead min(row), made positive, and that
-    column is cleared from the older pivot rows that hold it.  Their leads
-    are smaller, so they keep their leads and signs.
+    and there is no back-substitution pass.  An incoming row that holds one
+    pivot column is eliminated there (`_eliminate`); one that holds several
+    is reduced against all of them in a single pass (`_reduce`): scaled by
+    the lcm of their leads, each pivot row subtracted once, the content
+    divided out once.  Every pivot row is zero in the other pivot columns,
+    so neither brings in a new pivot column, a dependent row reaches zero,
+    and the fused pass yields exactly the primitive row that one elimination
+    per held column would.  What is left, if anything, becomes a pivot row
+    with lead min(row), made positive, and that column is cleared from the
+    older pivot rows that hold it, one `_eliminate` per older row.  Their
+    leads are smaller, so they keep their leads and signs.
 
     So at every step each pivot row is primitive, has a positive lead at its
     minimum column and is zero in every other pivot column: it is the
@@ -129,7 +166,11 @@ def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int
     # lies below the older leads and no older row holds it.  The order
     # changes the cost, not the result.
     for row in map(_integer_row, sorted(filter(None, rows), key=min, reverse=True)):
-        for col in row.keys() & pivots.keys():
+        held = row.keys() & pivots.keys()
+        if len(held) > 1:
+            row = _reduce(row, held, pivots)
+        elif held:
+            col = held.pop()
             row = _eliminate(row, col, pivots[col])
         if not row:
             continue

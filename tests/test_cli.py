@@ -129,12 +129,19 @@ HEISENBERG = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
         ),
         ("[" * 100000, "nested too deeply"),
         (json.dumps({"dim": 3, "family": {"family": [1, 2]}}), "'family.family' must be a string"),
+        # Aliases of one target index, and keys repeated literally (which
+        # json.load would otherwise collapse to the last value).
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1, "03": 5}}]}', "bracket (1, 2): duplicate target index 3"),
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {" 3": 1, "3": 5}}]}', "bracket (1, 2): duplicate target index 3"),
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1, "3": 5}}]}', "duplicate key '3' in a JSON object"),
+        ('{"dim": 3, "dim": 4, "brackets": []}', "duplicate key 'dim' in a JSON object"),
     ],
     ids=[
         "truncated", "unparseable-coefficient", "float-coefficient", "missing-dim",
         "string-dim", "negative-dim", "not-an-object", "short-basis", "family-not-object",
         "i-not-below-j", "target-out-of-range", "jacobi-violation", "duplicate-pair",
-        "deeply-nested", "family-label-not-string",
+        "deeply-nested", "family-label-not-string", "aliased-target", "padded-alias-target",
+        "repeated-target-key", "repeated-top-level-key",
     ],
 )
 def test_invariants_rejects_malformed_input(tmp_path, capsys, text, message):
@@ -144,6 +151,7 @@ def test_invariants_rejects_malformed_input(tmp_path, capsys, text, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:")
+    assert len(captured.err.splitlines()) == 1
     assert message in captured.err
 
 

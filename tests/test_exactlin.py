@@ -188,40 +188,53 @@ def test_echelon_is_the_rref_in_any_row_order(system, rnd):
     assert _echelon(shuffled) == pivots
 
 
-def counting_eliminations(monkeypatch):
-    """Wrap the core's row operation; the returned list gets one entry per call."""
+def counting_calls(monkeypatch, name, record):
+    """Wrap the core's row operation `name`; the returned list gets record(*args) per call."""
     calls = []
-    eliminate = exactlin._eliminate
+    original = getattr(exactlin, name)
 
-    def counted(row, col, pivot_row):
-        calls.append(col)
-        return eliminate(row, col, pivot_row)
+    def counted(*args):
+        calls.append(record(*args))
+        return original(*args)
 
-    monkeypatch.setattr(exactlin, "_eliminate", counted)
+    monkeypatch.setattr(exactlin, name, counted)
     return calls
 
 
+def counting_eliminations(monkeypatch):
+    """The column of each one-column elimination."""
+    return counting_calls(monkeypatch, "_eliminate", lambda row, col, pivot_row: col)
+
+
+def counting_reductions(monkeypatch):
+    """The set of held columns of each fused pass."""
+    return counting_calls(monkeypatch, "_reduce", lambda row, held, pivots: set(held))
+
+
 def test_a_new_lead_clears_its_column_from_the_older_pivot_rows(monkeypatch):
-    calls = counting_eliminations(monkeypatch)
+    eliminated = counting_eliminations(monkeypatch)
+    reduced = counting_reductions(monkeypatch)
     first = {1: 1, 2: 3, 3: 1}
     below = {0: 2, 2: -1, 3: 5}
-    # first + below + X_2: after two eliminations its lead is 2, above both
-    # older leads and held by both older rows.
+    # first + below + X_2: one fused pass over columns 0 and 1 leaves lead 2,
+    # above both older leads and held by both older rows.
     above = {0: 2, 1: 1, 2: 3, 3: 6}
     rows = [first, below, above]
     pivots = _echelon(rows)
     assert pivots == {0: {0: 2, 3: 5}, 1: {1: 1, 3: 1}, 2: {2: 1}}
     assert rref_of(pivots) == rref_gauss_jordan(rows, 4)
-    assert sorted(calls) == [0, 1, 2, 2]
+    assert reduced == [{0, 1}]
+    assert eliminated == [2, 2]
     assert rows == [{1: 1, 2: 3, 3: 1}, {0: 2, 2: -1, 3: 5}, {0: 2, 1: 1, 2: 3, 3: 6}]
 
 
-def test_a_dependent_row_costs_one_elimination_per_pivot_column_it_holds(monkeypatch):
+def test_a_dependent_row_makes_one_fused_pass_over_the_pivot_columns_it_holds(monkeypatch):
     rng = random.Random(7)
     ncols = 9
     independent = [{c: rng.choice((-3, -2, -1, 1, 2, 3)) for c in range(ncols)} for _ in range(6)]
     pivots = _echelon(independent)
     assert sorted(pivots) == [0, 1, 2, 3, 4, 5]
+    assert any(row[lead] != 1 for lead, row in pivots.items())
     # Each dependent row combines the pivot row of column 0 with two others, so
     # it holds exactly three pivot columns; with column 0 it arrives last.
     dependent = []
@@ -232,12 +245,40 @@ def test_a_dependent_row_costs_one_elimination_per_pivot_column_it_holds(monkeyp
             for c, v in pivots[lead].items():
                 row[c] = row.get(c, 0) + k * v
         dependent.append(row)
-    assert all(len(row.keys() & pivots.keys()) == 3 for row in dependent)
-    calls = counting_eliminations(monkeypatch)
+    held = [row.keys() & pivots.keys() for row in dependent]
+    assert all(len(h) == 3 for h in held)
+    eliminated = counting_eliminations(monkeypatch)
+    reduced = counting_reductions(monkeypatch)
     assert _echelon(independent) == pivots
-    alone = len(calls)
+    alone = (list(eliminated), list(reduced))
+    eliminated.clear()
+    reduced.clear()
     assert _echelon(independent + dependent) == pivots
-    assert len(calls) - 2 * alone == 3 * len(dependent)
+    assert eliminated == alone[0]
+    assert reduced == alone[1] + held
+
+
+def test_one_pass_over_three_pivots_with_coprime_leads():
+    # RREF rows with leads 2, 3 and 5: m = 30 and each f_c = r_c * 30 / p_c.
+    older = [{0: 2, 3: 1}, {1: 3, 3: 1, 4: -1}, {2: 5, 3: 1, 4: 1}]
+    dependent = {0: 2, 1: 3, 2: 5, 3: 3, 4: 0}
+    independent = {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}
+    pivots = _echelon(older)
+    assert pivots == {0: {0: 2, 3: 1}, 1: {1: 3, 3: 1, 4: -1}, 2: {2: 5, 3: 1, 4: 1}}
+    results = []
+    for row in (dependent, independent):
+        by_column = exactlin._integer_row(row)
+        for col in (0, 1, 2):
+            by_column = exactlin._eliminate(by_column, col, pivots[col])
+        assert exactlin._reduce(exactlin._integer_row(row), {0, 1, 2}, pivots) == by_column
+        results.append(by_column)
+    # 30 - 30 - 10 - 6 = -16 in column 3 and 30 + 10 - 6 = 34 in column 4:
+    # the content 2 is divided out once, at the end.
+    assert results == [{}, {3: -8, 4: 17}]
+    rows = older + [dependent, independent]
+    full = _echelon(rows)
+    assert full == {0: {0: 16, 4: 17}, 1: {1: 8, 4: 3}, 2: {2: 8, 4: 5}, 3: {3: 8, 4: -17}}
+    assert rref_of(full) == rref_gauss_jordan(rows, 5)
 
 
 def test_nullspace_of_identity_is_zero():
