@@ -111,17 +111,22 @@ def _eliminate(row: dict[int, int], col: int, pivot_row: dict[int, int]) -> dict
 def _reduce(
     row: dict[int, int], held: Collection[int], pivots: Mapping[int, dict[int, int]]
 ) -> dict[int, int]:
-    """Primitive m*row - sum over c in `held` of row[c]*(m/p_c)*pivots[c], m = lcm of the p_c.
+    """Primitive m*row - sum over c in `held` of row[c]*(m/p_c)*pivots[c].
 
-    p_c is the lead of pivots[c].  Every pivot row is zero in the other pivot
-    columns, so the sum clears each held column and brings none back: the
-    result is the primitive row that eliminating the held columns one at a
-    time gives, for one content gcd instead of one per column.  `row` may be
-    updated in place; callers use only the returned row.
+    p_c is the lead of pivots[c], and m > 0 is the least multiplier that makes
+    every m*row[c]/p_c an integer: the lcm of the p_c / gcd(row[c], p_c).  For
+    one held column that is `_eliminate`'s a*row - b*pivot_row, step for step.
+    Every pivot row is zero in the other pivot columns, so the sum clears each
+    held column and brings none back: the result is the primitive row that
+    eliminating the held columns one at a time gives, for one content gcd
+    instead of one per column.  `row` may be updated in place; callers use
+    only the returned row.
     """
     m = 1
     for col in held:
-        m = lcm(m, pivots[col][col])
+        p = pivots[col][col]
+        if p != 1:
+            m = lcm(m, p // gcd(row[col], p))
     if m != 1:
         row = {c: m * v for c, v in row.items()}
     for col in held:
@@ -141,17 +146,17 @@ def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int
     """Reduced echelon form of sparse rows of ints or Fractions, as {lead column: row}.
 
     Incremental Gauss-Jordan: the pivot rows are kept reduced at every step,
-    and there is no back-substitution pass.  An incoming row that holds one
-    pivot column is eliminated there (`_eliminate`); one that holds several
-    is reduced against all of them in a single pass (`_reduce`): scaled by
-    the lcm of their leads, each pivot row subtracted once, the content
-    divided out once.  Every pivot row is zero in the other pivot columns,
-    so neither brings in a new pivot column, a dependent row reaches zero,
-    and the fused pass yields exactly the primitive row that one elimination
-    per held column would.  What is left, if anything, becomes a pivot row
-    with lead min(row), made positive, and that column is cleared from the
-    older pivot rows that hold it, one `_eliminate` per older row.  Their
-    leads are smaller, so they keep their leads and signs.
+    and there is no back-substitution pass.  An incoming row is reduced
+    against all the pivot columns it holds in a single pass (`_reduce`):
+    scaled by the least multiplier that lets every held pivot row be
+    subtracted with an integer factor, each such row subtracted once, the
+    content divided out once.  Every pivot row is zero in the other pivot
+    columns, so the pass brings in no new pivot column, a dependent row
+    reaches zero, and the result is exactly the primitive row that one
+    elimination per held column would give.  What is left, if anything,
+    becomes a pivot row with lead min(row), made positive, and that column
+    is cleared from the older pivot rows that hold it, one `_eliminate` per
+    older row.  Their leads are smaller, so they keep their leads and signs.
 
     So at every step each pivot row is primitive, has a positive lead at its
     minimum column and is zero in every other pivot column: it is the
@@ -167,11 +172,8 @@ def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int
     # changes the cost, not the result.
     for row in map(_integer_row, sorted(filter(None, rows), key=min, reverse=True)):
         held = row.keys() & pivots.keys()
-        if len(held) > 1:
+        if held:
             row = _reduce(row, held, pivots)
-        elif held:
-            col = held.pop()
-            row = _eliminate(row, col, pivots[col])
         if not row:
             continue
         lead = min(row)

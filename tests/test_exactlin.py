@@ -259,26 +259,52 @@ def test_a_dependent_row_makes_one_fused_pass_over_the_pivot_columns_it_holds(mo
 
 
 def test_one_pass_over_three_pivots_with_coprime_leads():
-    # RREF rows with leads 2, 3 and 5: m = 30 and each f_c = r_c * 30 / p_c.
+    # RREF rows with leads 2, 3 and 5; m = lcm of p_c / gcd(r_c, p_c) and
+    # f_c = r_c * m / p_c.
     older = [{0: 2, 3: 1}, {1: 3, 3: 1, 4: -1}, {2: 5, 3: 1, 4: 1}]
     dependent = {0: 2, 1: 3, 2: 5, 3: 3, 4: 0}
     independent = {0: 2, 1: 1, 2: 1, 3: 1, 4: 1}
+    with_content = {0: 2, 1: 1, 2: 1, 3: 1, 4: 2}
     pivots = _echelon(older)
     assert pivots == {0: {0: 2, 3: 1}, 1: {1: 3, 3: 1, 4: -1}, 2: {2: 5, 3: 1, 4: 1}}
     results = []
-    for row in (dependent, independent):
+    for row in (dependent, independent, with_content):
         by_column = exactlin._integer_row(row)
         for col in (0, 1, 2):
             by_column = exactlin._eliminate(by_column, col, pivots[col])
         assert exactlin._reduce(exactlin._integer_row(row), {0, 1, 2}, pivots) == by_column
         results.append(by_column)
-    # 30 - 30 - 10 - 6 = -16 in column 3 and 30 + 10 - 6 = 34 in column 4:
-    # the content 2 is divided out once, at the end.
-    assert results == [{}, {3: -8, 4: 17}]
+    # dependent: every r_c is a multiple of p_c, so m = 1 and f = (1, 1, 1).
+    # The other two: m = lcm(1, 3, 5) = 15 and f = (15, 5, 3), which leaves
+    # 15 - 15 - 5 - 3 = -8 in column 3, and 15 + 5 - 3 = 17 or 30 + 5 - 3 = 32
+    # in column 4: the content 8 of the last is divided out once, at the end.
+    assert results == [{}, {3: -8, 4: 17}, {3: -1, 4: 4}]
     rows = older + [dependent, independent]
     full = _echelon(rows)
     assert full == {0: {0: 16, 4: 17}, 1: {1: 8, 4: 3}, 2: {2: 8, 4: 5}, 3: {3: 8, 4: -17}}
     assert rref_of(full) == rref_gauss_jordan(rows, 5)
+
+
+def test_a_row_that_holds_one_pivot_column_is_reduced_as_one_elimination(monkeypatch):
+    pivot = {0: 4, 1: 1, 2: 3}
+    row = {0: 6, 1: 1, 2: 5}
+    # gcd(6, 4) = 2, so m = 4 / 2 = 2 and f = 6 * 2 / 4 = 3, as _eliminate's
+    # a = 2 and b = 3: both hand 2*row - 3*pivot = {1: -1, 2: 1} to
+    # _primitive, not a multiple of it.
+    before_content = counting_calls(monkeypatch, "_primitive", dict)
+    single = exactlin._reduce(dict(row), {0}, {0: pivot})
+    assert single == exactlin._eliminate(dict(row), 0, pivot) == {1: -1, 2: 1}
+    assert before_content == [{1: -1, 2: 1}, {1: -1, 2: 1}]
+    eliminated = counting_eliminations(monkeypatch)
+    reduced = counting_reductions(monkeypatch)
+    rows = [pivot, row]
+    pivots = _echelon(rows)
+    assert pivots == {0: {0: 1, 2: 1}, 1: {1: 1, 2: -1}}
+    assert rref_of(pivots) == rref_gauss_jordan(rows, 3)
+    # One pass for the incoming row; the one elimination clears its new lead
+    # from the older pivot row.
+    assert reduced == [{0}]
+    assert eliminated == [1]
 
 
 def test_nullspace_of_identity_is_zero():
