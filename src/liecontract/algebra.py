@@ -8,6 +8,7 @@ rationals with no rounding anywhere.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
@@ -669,11 +670,17 @@ def _json_index(value, what: str, lo: int, hi: int | None = None) -> int:
     return value
 
 
+# The coefficient strings that to_json_dict writes: str(Fraction), "p" or "p/q".
+_COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def _json_coefficient(value, where: str) -> Fraction:
     if type(value) not in (int, str):
         raise MalformedAlgebraError(
             f"{where}: coefficient must be an integer or a 'p/q' string, got {value!r}"
         )
+    if type(value) is str and not _COEFFICIENT.fullmatch(value):
+        raise MalformedAlgebraError(f"{where}: cannot parse coefficient {value!r}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):

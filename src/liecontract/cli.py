@@ -163,11 +163,22 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return obj
 
 
+def _json_int(literal: str) -> int:
+    """A JSON integer literal; one too long for `int` is an input error, not a crash."""
+    try:
+        return int(literal)
+    except ValueError:
+        digits = len(literal.lstrip("-"))
+        raise MalformedAlgebraError(
+            f"input JSON has an integer literal of {digits} digits, too long to read"
+        ) from None
+
+
 def _cmd_invariants(args) -> int:
     if args.input:
         with open(args.input, "r", encoding="utf-8") as handle:
             try:
-                payload = json.load(handle, object_pairs_hook=_unique_keys)
+                payload = json.load(handle, object_pairs_hook=_unique_keys, parse_int=_json_int)
             except RecursionError:
                 raise MalformedAlgebraError("input JSON is nested too deeply") from None
         algebra = from_json_dict(payload)

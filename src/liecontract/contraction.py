@@ -65,6 +65,17 @@ def _exponents_at(affine: list[tuple[int, int, int]], n1: int, n2: int) -> tuple
     return tuple(c0 + c1 * n1 + c2 * n2 for (c0, c1, c2) in affine)
 
 
+def _cut_solution(m: int, q_list: Sequence[int]) -> list[tuple[int, int, int]]:
+    """The affine exponent triples of the chain system that reaches g_m(q..)."""
+    if m < 4:
+        raise InvalidFamilyError("chain system requires m >= 4")
+    q_list = tuple(q_list)
+    if q_list:
+        validate_q_list(m, q_list)
+    targets = deleted_chain_targets(m, q_list) if q_list else set()
+    return _affine_solution(m, targets)
+
+
 def solve_exponents(m: int, q_list: tuple[int, ...] = (), n1: int = 1, n2: int = 1) -> tuple[int, ...]:
     """Exponents a with f_t(X_i) = t^(a[i]) X_i reaching g_m(q..) from the uncut chain.
 
@@ -73,13 +84,7 @@ def solve_exponents(m: int, q_list: tuple[int, ...] = (), n1: int = 1, n2: int =
     and a_1 absorbs the -1 offset).  Entry a_{2m+1} = a_2 + a_{2m-1} makes
     every pairing entry scale with exponent 0.
     """
-    if m < 4:
-        raise InvalidFamilyError("chain system requires m >= 4")
-    q_list = tuple(q_list)
-    if q_list:
-        validate_q_list(m, q_list)
-    targets = deleted_chain_targets(m, q_list) if q_list else set()
-    return _exponents_at(_affine_solution(m, targets), n1, n2)
+    return _exponents_at(_cut_solution(m, q_list), n1, n2)
 
 
 def check_redundancy(m: int, q_list: tuple[int, ...]) -> bool:
@@ -89,13 +94,7 @@ def check_redundancy(m: int, q_list: tuple[int, ...]) -> bool:
     identity of affine forms in the two parameters, so the answer covers all
     integer parameter choices at once.
     """
-    if m < 4:
-        raise InvalidFamilyError("chain system requires m >= 4")
-    q_list = tuple(q_list)
-    if q_list:
-        validate_q_list(m, q_list)
-    targets = deleted_chain_targets(m, q_list) if q_list else set()
-    affine = _affine_solution(m, targets)
+    affine = _cut_solution(m, q_list)
 
     def at(index: int) -> tuple[int, int, int]:
         return affine[index - 1]

@@ -12,8 +12,9 @@ against all the pivot columns it holds in one pass, with one content gcd at
 the end (as in Bareiss's fraction-free elimination, the content is removed
 once per reduction, not after every step); since each pivot row is zero in
 the other pivot columns, that pass gives the same primitive row as
-eliminating the columns one at a time.  A row may hold ints or Fractions:
-an integral row enters the core as it is, a rational one has its
+eliminating the columns one at a time.  The same routine, over one column,
+clears a new lead from the older pivot rows.  A row may hold ints or
+Fractions: an integral row enters the core as it is, a rational one has its
 denominators cleared first.  Every system built from a `LieAlgebra` is
 integral already, because the algebra clears the denominators of its
 structure tensor once.  `Subspace` keeps the core's reduced rows as
@@ -27,7 +28,7 @@ Inside the package vectors are sparse rows `{column: nonzero value}`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, inf, lcm
 from typing import Collection, Iterable, Mapping, Sequence
 
 _ZERO = Fraction(0)
@@ -84,43 +85,22 @@ def _integer_row(raw: Mapping[int, int | Fraction]) -> dict[int, int]:
     return {c: v // g for c, v in raw.items() if v} if g else {}
 
 
-def _eliminate(row: dict[int, int], col: int, pivot_row: dict[int, int]) -> dict[int, int]:
-    """Primitive a*row - b*pivot_row with a > 0 and column `col` cleared.
-
-    a and b are the two entries in `col` divided by their gcd.  `row` may be
-    updated in place; callers use only the returned row.
-    """
-    r, p = row.pop(col), pivot_row[col]
-    g = gcd(r, p)
-    a, b = p // g, r // g
-    if a < 0:
-        a, b = -a, -b
-    if a != 1:
-        row = {c: a * v for c, v in row.items()}
-    for c, v in pivot_row.items():
-        if c == col:
-            continue
-        new = row.get(c, 0) - b * v
-        if new:
-            row[c] = new
-        else:
-            row.pop(c, None)
-    return _primitive(row) if row else row
-
-
 def _reduce(
     row: dict[int, int], held: Collection[int], pivots: Mapping[int, dict[int, int]]
 ) -> dict[int, int]:
     """Primitive m*row - sum over c in `held` of row[c]*(m/p_c)*pivots[c].
 
-    p_c is the lead of pivots[c], and m > 0 is the least multiplier that makes
-    every m*row[c]/p_c an integer: the lcm of the p_c / gcd(row[c], p_c).  For
-    one held column that is `_eliminate`'s a*row - b*pivot_row, step for step.
-    Every pivot row is zero in the other pivot columns, so the sum clears each
-    held column and brings none back: the result is the primitive row that
-    eliminating the held columns one at a time gives, for one content gcd
-    instead of one per column.  `row` may be updated in place; callers use
-    only the returned row.
+    The one row operation of the elimination core: `_echelon` reduces an
+    incoming row with it, and clears a new lead from an older pivot row with
+    it (`held` is then that one column).  p_c is the lead of pivots[c], and
+    m > 0 is the least multiplier that makes every m*row[c]/p_c an integer:
+    the lcm of the p_c / gcd(row[c], p_c).  For one held column this is the
+    primitive a*row - b*pivot_row with a, b the two entries in that column
+    divided by their gcd.  Every pivot row is zero in the other pivot
+    columns, so the sum clears each held column and brings none back: the
+    result is the primitive row that eliminating the held columns one at a
+    time gives, for one content gcd instead of one per column.  `row` may be
+    updated in place; callers use only the returned row.
     """
     m = 1
     for col in held:
@@ -146,17 +126,18 @@ def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int
     """Reduced echelon form of sparse rows of ints or Fractions, as {lead column: row}.
 
     Incremental Gauss-Jordan: the pivot rows are kept reduced at every step,
-    and there is no back-substitution pass.  An incoming row is reduced
-    against all the pivot columns it holds in a single pass (`_reduce`):
-    scaled by the least multiplier that lets every held pivot row be
-    subtracted with an integer factor, each such row subtracted once, the
-    content divided out once.  Every pivot row is zero in the other pivot
-    columns, so the pass brings in no new pivot column, a dependent row
-    reaches zero, and the result is exactly the primitive row that one
-    elimination per held column would give.  What is left, if anything,
-    becomes a pivot row with lead min(row), made positive, and that column
-    is cleared from the older pivot rows that hold it, one `_eliminate` per
-    older row.  Their leads are smaller, so they keep their leads and signs.
+    and there is no back-substitution pass.  Every row operation is one
+    `_reduce`.  An incoming row is reduced against all the pivot columns it
+    holds in a single pass.  Every pivot row is zero in the other pivot
+    columns, so the pass brings in no new pivot column and a dependent row
+    reaches zero.  What is left, if anything, becomes the pivot row of its
+    lead min(row), made positive, and that column is cleared from each older
+    pivot row that holds it, one `_reduce` over that one column per older
+    row.  Their leads are smaller, so they keep their leads and signs.
+
+    Every pivot row's columns lie at or above its own lead, so a new lead
+    below `low`, the smallest lead so far, is held by no older row: only a
+    lead above `low` makes the pivot rows be scanned for it.
 
     So at every step each pivot row is primitive, has a positive lead at its
     minimum column and is zero in every other pivot column: it is the
@@ -165,11 +146,10 @@ def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int
     modified, and no returned row is one of them.
     """
     pivots: dict[int, dict[int, int]] = {}
-    # Column -> leads of the pivot rows that may hold it; checked when used.
-    holders: dict[int, list[int]] = {}
-    # Rows are taken by descending first column, so a new pivot's lead mostly
-    # lies below the older leads and no older row holds it.  The order
-    # changes the cost, not the result.
+    low = inf
+    # Rows are taken by descending first column, so a new lead mostly lies
+    # below `low` and the pivot rows need no scan.  The order changes the
+    # cost, not the result.
     for row in map(_integer_row, sorted(filter(None, rows), key=min, reverse=True)):
         held = row.keys() & pivots.keys()
         if held:
@@ -179,16 +159,13 @@ def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int
         lead = min(row)
         if row[lead] < 0:
             row = {c: -v for c, v in row.items()}
-        others = [c for c in row if c != lead]
-        for older in holders.pop(lead, ()):
-            older_row = pivots[older]
-            if lead in older_row:
-                pivots[older] = _eliminate(older_row, lead, row)
-                for c in others:
-                    holders.setdefault(c, []).append(older)
-        for c in others:
-            holders.setdefault(c, []).append(lead)
         pivots[lead] = row
+        if lead < low:
+            low = lead
+            continue
+        for older, older_row in pivots.items():
+            if lead in older_row and older != lead:
+                pivots[older] = _reduce(older_row, (lead,), pivots)
     return pivots
 
 

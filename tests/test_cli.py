@@ -135,13 +135,22 @@ HEISENBERG = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
         ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {" 3": 1, "3": 5}}]}', "bracket (1, 2): duplicate target index 3"),
         ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1, "3": 5}}]}', "duplicate key '3' in a JSON object"),
         ('{"dim": 3, "dim": 4, "brackets": []}', "duplicate key 'dim' in a JSON object"),
+        # Integer literals past Python's int-conversion digit limit.
+        ('{"dim": %s, "brackets": []}' % ("9" * 5000), "integer literal of 5000 digits"),
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": %s}}]}' % ("9" * 5000), "integer literal of 5000 digits"),
+        # Only the "p" and "p/q" strings that `gen` writes are coefficients.
+        (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1e3000000"}}]}), "cannot parse coefficient '1e3000000'"),
+        (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1.5"}}]}), "cannot parse coefficient '1.5'"),
+        (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1_000"}}]}), "cannot parse coefficient '1_000'"),
     ],
     ids=[
         "truncated", "unparseable-coefficient", "float-coefficient", "missing-dim",
         "string-dim", "negative-dim", "not-an-object", "short-basis", "family-not-object",
         "i-not-below-j", "target-out-of-range", "jacobi-violation", "duplicate-pair",
         "deeply-nested", "family-label-not-string", "aliased-target", "padded-alias-target",
-        "repeated-target-key", "repeated-top-level-key",
+        "repeated-target-key", "repeated-top-level-key", "long-dim-literal",
+        "long-coefficient-literal", "exponent-coefficient", "decimal-coefficient",
+        "underscore-coefficient",
     ],
 )
 def test_invariants_rejects_malformed_input(tmp_path, capsys, text, message):

@@ -201,31 +201,61 @@ def counting_calls(monkeypatch, name, record):
     return calls
 
 
-def counting_eliminations(monkeypatch):
-    """The column of each one-column elimination."""
-    return counting_calls(monkeypatch, "_eliminate", lambda row, col, pivot_row: col)
-
-
 def counting_reductions(monkeypatch):
-    """The set of held columns of each fused pass."""
+    """The set of held columns of each `_reduce` pass."""
     return counting_calls(monkeypatch, "_reduce", lambda row, held, pivots: set(held))
 
 
 def test_a_new_lead_clears_its_column_from_the_older_pivot_rows(monkeypatch):
-    eliminated = counting_eliminations(monkeypatch)
     reduced = counting_reductions(monkeypatch)
     first = {1: 1, 2: 3, 3: 1}
     below = {0: 2, 2: -1, 3: 5}
     # first + below + X_2: one fused pass over columns 0 and 1 leaves lead 2,
-    # above both older leads and held by both older rows.
+    # above both older leads and held by both older rows, so one pass over
+    # column 2 clears it from each of them.
     above = {0: 2, 1: 1, 2: 3, 3: 6}
     rows = [first, below, above]
     pivots = _echelon(rows)
     assert pivots == {0: {0: 2, 3: 5}, 1: {1: 1, 3: 1}, 2: {2: 1}}
     assert rref_of(pivots) == rref_gauss_jordan(rows, 4)
-    assert reduced == [{0, 1}]
-    assert eliminated == [2, 2]
+    assert reduced == [{0, 1}, {2}, {2}]
     assert rows == [{1: 1, 2: 3, 3: 1}, {0: 2, 2: -1, 3: 5}, {0: 2, 1: 1, 2: 3, 3: 6}]
+
+
+def test_a_lead_between_the_older_leads_is_cleared_from_the_rows_that_hold_it(monkeypatch):
+    reduced = counting_reductions(monkeypatch)
+    # All three rows start in column 0.  The second and third reduce to leads
+    # 3 and then 2: lead 2 lies above the smallest lead 0, though below the
+    # latest lead 3, and the pivot row of column 0 holds it.
+    rows = [{0: 1, 2: 1}, {0: 1, 2: 1, 3: 1}, {0: 1, 2: 2, 4: 1}]
+    pivots = _echelon(rows)
+    assert pivots == {0: {0: 1, 4: -1}, 3: {3: 1}, 2: {2: 1, 4: 1}}
+    assert rref_of(pivots) == rref_gauss_jordan(rows, 5)
+    assert reduced == [{0}, {0}, {2}]
+
+
+def test_no_clearing_pass_runs_when_each_new_lead_lies_below_every_older_lead(monkeypatch):
+    reduced = counting_reductions(monkeypatch)
+    # Leads 2, 1, 0 in turn: each is held by no older row.  The one pass is
+    # the incoming row that holds column 2.
+    rows = [{2: 1, 3: 1}, {1: 2, 3: 4}, {0: 1, 2: 1, 3: 1}]
+    pivots = _echelon(rows)
+    assert pivots == {2: {2: 1, 3: 1}, 1: {1: 1, 3: 2}, 0: {0: 1}}
+    assert rref_of(pivots) == rref_gauss_jordan(rows, 4)
+    assert reduced == [{2}]
+
+
+def test_a_lead_above_every_older_lead_that_no_row_holds_changes_no_row(monkeypatch):
+    reduced = counting_reductions(monkeypatch)
+    older = {0: 2, 2: 1, 3: -1}
+    # The second row reduces to lead 1, above lead 0, so the pivot rows are
+    # scanned for it; the pivot row of column 0 does not hold column 1, so
+    # no clearing pass runs and that row stays as it entered.
+    rows = [older, {0: 2, 1: 3, 2: 1, 3: -1}]
+    pivots = _echelon(rows)
+    assert pivots == {0: {0: 2, 2: 1, 3: -1}, 1: {1: 1}}
+    assert rref_of(pivots) == rref_gauss_jordan(rows, 4)
+    assert reduced == [{0}]
 
 
 def test_a_dependent_row_makes_one_fused_pass_over_the_pivot_columns_it_holds(monkeypatch):
@@ -247,15 +277,14 @@ def test_a_dependent_row_makes_one_fused_pass_over_the_pivot_columns_it_holds(mo
         dependent.append(row)
     held = [row.keys() & pivots.keys() for row in dependent]
     assert all(len(h) == 3 for h in held)
-    eliminated = counting_eliminations(monkeypatch)
     reduced = counting_reductions(monkeypatch)
     assert _echelon(independent) == pivots
-    alone = (list(eliminated), list(reduced))
-    eliminated.clear()
+    alone = list(reduced)
     reduced.clear()
     assert _echelon(independent + dependent) == pivots
-    assert eliminated == alone[0]
-    assert reduced == alone[1] + held
+    # The independent rows make the same passes, incoming and clearing, and
+    # then each dependent row makes one.
+    assert reduced == alone + held
 
 
 def test_one_pass_over_three_pivots_with_coprime_leads():
@@ -271,7 +300,7 @@ def test_one_pass_over_three_pivots_with_coprime_leads():
     for row in (dependent, independent, with_content):
         by_column = exactlin._integer_row(row)
         for col in (0, 1, 2):
-            by_column = exactlin._eliminate(by_column, col, pivots[col])
+            by_column = exactlin._reduce(by_column, (col,), pivots)
         assert exactlin._reduce(exactlin._integer_row(row), {0, 1, 2}, pivots) == by_column
         results.append(by_column)
     # dependent: every r_c is a multiple of p_c, so m = 1 and f = (1, 1, 1).
@@ -288,23 +317,21 @@ def test_one_pass_over_three_pivots_with_coprime_leads():
 def test_a_row_that_holds_one_pivot_column_is_reduced_as_one_elimination(monkeypatch):
     pivot = {0: 4, 1: 1, 2: 3}
     row = {0: 6, 1: 1, 2: 5}
-    # gcd(6, 4) = 2, so m = 4 / 2 = 2 and f = 6 * 2 / 4 = 3, as _eliminate's
-    # a = 2 and b = 3: both hand 2*row - 3*pivot = {1: -1, 2: 1} to
-    # _primitive, not a multiple of it.
+    # gcd(6, 4) = 2, so m = 4 / 2 = 2 and f = 6 * 2 / 4 = 3: the entries 6
+    # and 4 divided by their gcd give a = 2 and b = 3, and 2*row - 3*pivot =
+    # {1: -1, 2: 1} goes to _primitive, not a multiple of it.
     before_content = counting_calls(monkeypatch, "_primitive", dict)
     single = exactlin._reduce(dict(row), {0}, {0: pivot})
-    assert single == exactlin._eliminate(dict(row), 0, pivot) == {1: -1, 2: 1}
-    assert before_content == [{1: -1, 2: 1}, {1: -1, 2: 1}]
-    eliminated = counting_eliminations(monkeypatch)
+    assert single == {1: -1, 2: 1}
+    assert before_content == [{1: -1, 2: 1}]
     reduced = counting_reductions(monkeypatch)
     rows = [pivot, row]
     pivots = _echelon(rows)
     assert pivots == {0: {0: 1, 2: 1}, 1: {1: 1, 2: -1}}
     assert rref_of(pivots) == rref_gauss_jordan(rows, 3)
-    # One pass for the incoming row; the one elimination clears its new lead
-    # from the older pivot row.
-    assert reduced == [{0}]
-    assert eliminated == [1]
+    # One pass for the incoming row, and one over its new lead clears that
+    # column from the older pivot row.
+    assert reduced == [{0}, {1}]
 
 
 def test_nullspace_of_identity_is_zero():
