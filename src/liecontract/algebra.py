@@ -104,14 +104,6 @@ class LieAlgebra:
     def __setattr__(self, name, value):
         raise AttributeError("LieAlgebra is immutable")
 
-    def fiber(self, i: int, j: int) -> dict[int, Fraction]:
-        """[X_i, X_j] as a sparse vector {k: coefficient}."""
-        if i == j:
-            return {}
-        if i < j:
-            return dict(self._tensor.get((i, j), {}))
-        return {k: -c for k, c in self._tensor.get((j, i), {}).items()}
-
     def entries(self) -> Iterator[tuple[int, int, int, Fraction]]:
         """All stored coefficients (i, j, k, C^k_ij) with i < j, in lex order."""
         for (i, j) in sorted(self._tensor):
@@ -555,29 +547,29 @@ def _primes(count: int) -> list[int]:
     return found
 
 
-def _jordan_blocks(L: LieAlgebra, x: Sequence[int]) -> tuple[int, ...]:
+def _jordan_blocks(L: LieAlgebra, x: Sequence[int]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(blocks, ranks) of the nilpotent ad(x) for an integer vector x.
+
+    `ranks` holds r_k = rank ad(x)^k for k = 0 up to the first zero, so
+    r_0 = n.  `blocks` is the Jordan type they determine, non-increasing:
+    r_(k-1) - r_k blocks have size at least k.
+    """
     n = L.dim
     # ad(_den * x) is integral and has the ranks of ad(x), so its powers keep
     # denominator 1 instead of _den**k.
     ad = L.ad_matrix([L._den * v for v in x])
-    ranks = [n]
-    power = Matrix.identity(n)
+    power, ranks = ad, [n, matrix_rank(ad)]
     while ranks[-1] > 0:
+        if len(ranks) > n:
+            raise NotNilpotentError("ad(x) is not nilpotent")
         power = power.mul(ad)
         ranks.append(matrix_rank(power))
-        if len(ranks) > n + 1:
-            raise NotNilpotentError("ad(x) is not nilpotent")
     at_least = [ranks[s - 1] - ranks[s] for s in range(1, len(ranks))]
     blocks: list[int] = []
     for size in range(len(at_least), 0, -1):
         exactly = at_least[size - 1] - (at_least[size] if size < len(at_least) else 0)
         blocks.extend([size] * exactly)
-    return tuple(blocks)
-
-
-def _rank_profile(blocks: Sequence[int]) -> tuple[int, ...]:
-    """r_k = rank ad(x)^k = sum over blocks b of max(b - k, 0), for k = 0 .. the first zero."""
-    return tuple(sum(b - k for b in blocks if b > k) for k in range(max(blocks, default=0) + 1))
+    return tuple(blocks), tuple(ranks)
 
 
 def _rank_bound(L: LieAlgebra, series: SeriesReport, center_dim: int) -> tuple[int, ...]:
@@ -633,8 +625,8 @@ def characteristic_sequence(L: LieAlgebra) -> CharacteristicSequence:
     candidates = [generic] + [[int(c == d) for d in range(n)] for c in complement]
     best: CharacteristicSequence | None = None
     for x in candidates:
-        blocks = _jordan_blocks(L, x)
-        certified = _rank_profile(blocks) == bound
+        blocks, ranks = _jordan_blocks(L, x)
+        certified = ranks == bound
         if best is None or blocks > best.blocks:
             best = CharacteristicSequence(blocks, tuple(x), certified)
         if certified:
@@ -663,28 +655,38 @@ def to_json_dict(L: LieAlgebra, family: Mapping | None = None) -> dict:
     return out
 
 
+def _brief(value) -> str:
+    """repr(value) for an error message; a long one is cut to a prefix and its length."""
+    text = repr(value)
+    if len(text) <= 40:
+        return text
+    return f"{text[:20]}... ({len(text)} characters)"
+
+
 def _json_index(value, what: str, lo: int, hi: int | None = None) -> int:
     if type(value) is not int or value < lo or (hi is not None and value > hi):
         bound = f">= {lo}" if hi is None else f"in {lo}..{hi}"
-        raise MalformedAlgebraError(f"{what} must be an integer {bound}, got {value!r}")
+        raise MalformedAlgebraError(f"{what} must be an integer {bound}, got {_brief(value)}")
     return value
 
 
 # The coefficient strings that to_json_dict writes: str(Fraction), "p" or "p/q".
 _COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
+# The target keys that to_json_dict writes: str(k) for a 1-based index k.
+_TARGET_KEY = re.compile(r"[1-9][0-9]*")
 
 
 def _json_coefficient(value, where: str) -> Fraction:
     if type(value) not in (int, str):
         raise MalformedAlgebraError(
-            f"{where}: coefficient must be an integer or a 'p/q' string, got {value!r}"
+            f"{where}: coefficient must be an integer or a 'p/q' string, got {_brief(value)}"
         )
     if type(value) is str and not _COEFFICIENT.fullmatch(value):
-        raise MalformedAlgebraError(f"{where}: cannot parse coefficient {value!r}")
+        raise MalformedAlgebraError(f"{where}: cannot parse coefficient {_brief(value)}")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError):
-        raise MalformedAlgebraError(f"{where}: cannot parse coefficient {value!r}") from None
+        raise MalformedAlgebraError(f"{where}: cannot parse coefficient {_brief(value)}") from None
 
 
 def from_json_dict(data: Mapping) -> LieAlgebra:
@@ -692,10 +694,12 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
 
     Raises MalformedAlgebraError on a missing or mistyped field (including a
     non-string 'family.family' label), an index out of range, a repeated
-    (i, j) pair, a target index named twice in one 'coeffs' object (also
-    through aliases such as "3" and "03"), an unparseable coefficient, or a
-    tensor that breaks the Jacobi identity (the message names the first
-    failing triple).
+    (i, j) pair, a 'coeffs' key not in the form to_json_dict writes (a
+    string of ASCII digits with no leading zero and no more digits than
+    str(dim), so "03", "+3", " 3", "1_2" and the int 3 are all rejected),
+    an unparseable coefficient, or a tensor that breaks the Jacobi identity
+    (the message names the first failing triple).  Each target index has
+    one spelling, so distinct keys name distinct targets.
     """
     if not isinstance(data, Mapping):
         raise MalformedAlgebraError("algebra document must be a JSON object")
@@ -716,6 +720,7 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
     if not isinstance(brackets, list):
         raise MalformedAlgebraError("'brackets' must be a list")
     tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
+    width = len(str(dim))
     for entry in brackets:
         if not isinstance(entry, Mapping) or not isinstance(entry.get("coeffs"), Mapping):
             raise MalformedAlgebraError("each bracket needs integer 'i', 'j' and a 'coeffs' object")
@@ -726,13 +731,9 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
         fiber = tensor[(i - 1, j - 1)] = {}
         where = f"bracket ({i}, {j})"
         for key, c in entry["coeffs"].items():
-            try:
-                k = int(key)
-            except (TypeError, ValueError):
-                raise MalformedAlgebraError(f"{where}: bad target index {key!r}") from None
-            k = _json_index(k, f"{where}: target index", 1, dim)
-            if k - 1 in fiber:
-                raise MalformedAlgebraError(f"{where}: duplicate target index {k}")
+            if not (type(key) is str and len(key) <= width and _TARGET_KEY.fullmatch(key)):
+                raise MalformedAlgebraError(f"{where}: bad target index {_brief(key)}")
+            k = _json_index(int(key), f"{where}: target index", 1, dim)
             fiber[k - 1] = _json_coefficient(c, where)
     algebra = LieAlgebra(dim, tensor, labels)
     report = check_jacobi(algebra)

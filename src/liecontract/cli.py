@@ -219,7 +219,7 @@ def _cmd_contract(args) -> int:
     n2 = 1 if args.n2 is None else args.n2
     if args.heisenberg:
         exponents = heisenberg_exponents(m)
-        source = make_g_m_q(m, q) if q else make_g_m(m)
+        source = make_g_m_q(m, q)
         source_label = f"g{m}({_fmt_ints(q)})" if q else f"g{m}"
         target = make_heisenberg_plus_abelian(m)
         target_label = f"h{m - 1}+C2"
@@ -345,7 +345,7 @@ def _cmd_check(args) -> int:
 
 def _table_row(m: int, q: tuple[int, ...]) -> dict:
     """One table row; in the adapted basis `rank` is the torus rank."""
-    algebra = make_g_m_q(m, q) if q else make_g_m(m)
+    algebra = make_g_m_q(m, q)
     series = lower_central_series(algebra)
     torus = max_torus(algebra)
     rank = len(torus)

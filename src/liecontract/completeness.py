@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .algebra import LieAlgebra, _per_algebra, center, derivations
 from .exactlin import Subspace, nullspace_of_rows
-from .families import make_g_m, make_g_m_q
+from .families import make_g_m_q
 
 
 @_per_algebra
@@ -150,5 +150,5 @@ def is_complete(L: LieAlgebra) -> CompletenessCertificate:
 
 def build_r_m(m: int, q_list: tuple[int, ...] = ()) -> LieAlgebra:
     """Semidirect extension of the (possibly cut) chain algebra by its max torus."""
-    g = make_g_m_q(m, tuple(q_list)) if q_list else make_g_m(m)
+    g = make_g_m_q(m, q_list)
     return semidirect_product(g, max_torus(g))

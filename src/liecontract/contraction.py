@@ -70,10 +70,8 @@ def _cut_solution(m: int, q_list: Sequence[int]) -> list[tuple[int, int, int]]:
     if m < 4:
         raise InvalidFamilyError("chain system requires m >= 4")
     q_list = tuple(q_list)
-    if q_list:
-        validate_q_list(m, q_list)
-    targets = deleted_chain_targets(m, q_list) if q_list else set()
-    return _affine_solution(m, targets)
+    validate_q_list(m, q_list)
+    return _affine_solution(m, deleted_chain_targets(m, q_list))
 
 
 def solve_exponents(m: int, q_list: tuple[int, ...] = (), n1: int = 1, n2: int = 1) -> tuple[int, ...]:

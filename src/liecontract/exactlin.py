@@ -32,7 +32,6 @@ from math import gcd, inf, lcm
 from typing import Collection, Iterable, Mapping, Sequence
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class DimensionError(ValueError):
@@ -227,10 +226,6 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def identity(cls, n: int) -> "Matrix":
-        return cls([[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)], ncols=n)
 
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:

@@ -23,8 +23,7 @@ class InvalidFamilyError(ValueError):
 
 
 def validate_q_list(m: int, q_list: tuple[int, ...]) -> None:
-    if len(q_list) < 1:
-        raise InvalidFamilyError("q list must contain at least one entry")
+    """Check a cut list; the empty list, no cut, is valid and names gm."""
     if list(q_list) != sorted(set(q_list)):
         raise InvalidFamilyError("q list must be strictly increasing")
     for q in q_list:
@@ -59,20 +58,19 @@ def _chain_and_pairing_form(m: int, deleted: set[int]) -> MaurerCartanForm:
 
 
 def make_g_m(m: int) -> LieAlgebra:
-    """Uncut chain-and-pairing algebra of dimension 2m+1."""
-    if m < 4:
-        raise InvalidFamilyError("gm requires m >= 4")
-    return from_maurer_cartan(_chain_and_pairing_form(m, set()))
+    """Uncut chain-and-pairing algebra of dimension 2m+1: `make_g_m_q(m, ())`."""
+    return make_g_m_q(m, ())
 
 
 def make_g_m_q(m: int, q_list: tuple[int, ...]) -> LieAlgebra:
     """Chain-and-pairing algebra with the chain links into {q, 2m+2-q} removed.
 
     All pairing terms (the X_{2m+1} component) are retained; only chain
-    brackets [X1, X_{j-1}] = X_j with j in the deleted set disappear.
+    brackets [X1, X_{j-1}] = X_j with j in the deleted set disappear.  The
+    empty cut list removes nothing: `make_g_m_q(m, ())` is gm.
     """
     if m < 4:
-        raise InvalidFamilyError("gmq requires m >= 4")
+        raise InvalidFamilyError("gm requires m >= 4")
     q_list = tuple(q_list)
     validate_q_list(m, q_list)
     return from_maurer_cartan(_chain_and_pairing_form(m, deleted_chain_targets(m, q_list)))
@@ -130,14 +128,14 @@ class FamilySpec:
             if self.m is not None:
                 raise InvalidFamilyError(f"family {self.family} takes no m")
         if self.family == "gmq":
+            if not self.q_list:
+                raise InvalidFamilyError("q list must contain at least one entry")
             validate_q_list(self.m, tuple(self.q_list))
         elif self.q_list:
             raise InvalidFamilyError(f"family {self.family} takes no q list")
 
     def build(self) -> LieAlgebra:
-        if self.family == "gm":
-            return make_g_m(self.m)
-        if self.family == "gmq":
+        if self.family in ("gm", "gmq"):
             return make_g_m_q(self.m, tuple(self.q_list))
         if self.family == "filiform":
             return make_model_filiform(self.n)

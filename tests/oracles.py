@@ -57,13 +57,11 @@ def _unit_brackets(L) -> list[list[tuple[Fraction, ...]]]:
     return [[L.bracket(units[a], units[b]) for b in range(n)] for a in range(n)]
 
 
-def jordan_type_by_powers(L, x) -> tuple[int, ...]:
-    """Jordan block sizes of the nilpotent ad(x), non-increasing.
+def ad_power_ranks(L, x) -> tuple[int, ...]:
+    """r_k = rank ad(x)^k for k = 0 up to the first zero, of the nilpotent ad(x).
 
     ad(x) is assembled column by column from the public bracket, its powers
-    by schoolbook products, and each rank r_k = rank ad(x)^k by the reverse
-    eliminator above.  r_(k-1) - r_k blocks have size at least k, and the
-    block sizes are the conjugate of that count.
+    by schoolbook products, and each rank by the reverse eliminator above.
     """
     n = L.dim
     units = [[Fraction(int(c == a)) for c in range(n)] for a in range(n)]
@@ -75,6 +73,16 @@ def jordan_type_by_powers(L, x) -> tuple[int, ...]:
             raise ValueError("ad(x) is not nilpotent")
         ranks.append(rank_reverse_elimination([{c: v for c, v in enumerate(row) if v} for row in power]))
         power = [[sum(row[k] * ad[k][c] for k in range(n) if row[k]) for c in range(n)] for row in power]
+    return tuple(ranks)
+
+
+def jordan_type_by_powers(L, x) -> tuple[int, ...]:
+    """Jordan block sizes of the nilpotent ad(x), non-increasing.
+
+    r_(k-1) - r_k blocks have size at least k (ranks from `ad_power_ranks`),
+    and the block sizes are the conjugate of that count.
+    """
+    ranks = ad_power_ranks(L, x)
     at_least = [ranks[k - 1] - ranks[k] for k in range(1, len(ranks))]
     return tuple(sum(1 for a in at_least if a >= j) for j in range(1, max(at_least, default=0) + 1))
 
@@ -162,15 +170,20 @@ def jacobi_violations_by_fibers(L) -> tuple[tuple[int, int, int, int, Fraction],
     """(i, j, l, s, residual) for every nonzero component of the Jacobi sum, in lex order.
 
     Every triple i < j < l is visited, and each bracket of basis vectors is
-    read as a Fraction fiber from `L.fiber`, the tensor as given, not its
-    integer adjacency lists.
+    read as a Fraction fiber of the tensor as given by `L.entries()`, with
+    [X_b, X_a] = -[X_a, X_b] applied here, not from its integer adjacency
+    lists.
     """
+    fibers: dict[tuple[int, int], dict[int, Fraction]] = {}
+    for (i, j, k, c) in L.entries():
+        fibers.setdefault((i, j), {})[k] = c
+        fibers.setdefault((j, i), {})[k] = -c
     violations = []
     for (i, j, l) in combinations(range(L.dim), 3):
         residual: dict[int, Fraction] = {}
         for (a, b, c) in ((i, j, l), (j, l, i), (l, i, j)):
-            for k, c1 in L.fiber(a, b).items():
-                for s, c2 in L.fiber(k, c).items():
+            for k, c1 in fibers.get((a, b), {}).items():
+                for s, c2 in fibers.get((k, c), {}).items():
                     residual[s] = residual.get(s, Fraction(0)) + c1 * c2
         violations.extend((i, j, l, s, residual[s]) for s in sorted(residual) if residual[s])
     return tuple(violations)

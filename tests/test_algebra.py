@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from liecontract.algebra import (
     JacobiViolationError,
     LieAlgebra,
+    MalformedAlgebraError,
     MaurerCartanForm,
     NotNilpotentError,
     _derivation_rows,
     _descending_series,
+    _jordan_blocks,
     betti1,
     bracket_subspaces,
     center,
@@ -40,6 +42,7 @@ from liecontract.families import (
     make_model_filiform,
 )
 from oracles import (
+    ad_power_ranks,
     derivation_by_brackets,
     derivation_nullity_bruteforce,
     jordan_type_by_powers,
@@ -86,10 +89,10 @@ def test_bracket_length_mismatch(g4):
 
 
 def test_structure_constant_signs(g4):
-    assert g4.fiber(0, 1).get(2, 0) == 1
-    assert g4.fiber(1, 0).get(2, 0) == -1
-    assert g4.fiber(2, 5).get(8, 0) == -1
-    assert g4.fiber(1, 1).get(0, 0) == 0
+    assert g4.bracket(unit(9, 0), unit(9, 1))[2] == 1
+    assert g4.bracket(unit(9, 1), unit(9, 0))[2] == -1
+    assert g4.bracket(unit(9, 2), unit(9, 5))[8] == -1
+    assert g4.bracket(unit(9, 1), unit(9, 1))[0] == 0
 
 
 # --- jacobi ----------------------------------------------------------------
@@ -263,7 +266,7 @@ def test_ad_matrices_are_derivations(g4):
 
 def test_non_derivation_is_rejected():
     heis = make_model_filiform(3)
-    assert not is_derivation(heis, Matrix.identity(3))
+    assert not is_derivation(heis, Matrix([[int(r == c) for c in range(3)] for r in range(3)]))
 
 
 # --- bracket-driven primitives against the dense bracket ----------------------
@@ -431,15 +434,22 @@ def complement_candidates(L):
     return [generic] + [[int(c == d) for d in range(L.dim)] for c in complement]
 
 
+def assert_jordan_blocks_match_the_oracle(L, candidates):
+    """`_jordan_blocks` gives the oracle's Jordan type and its ranks r_0 = n, ..., 0 for each x."""
+    for x in candidates:
+        assert _jordan_blocks(L, x) == (jordan_type_by_powers(L, x), ad_power_ranks(L, x)), x
+
+
 @pytest.mark.parametrize("m", range(4, 9))
 def test_characteristic_sequence_is_certified_on_the_grid(m):
     for q in [()] + list(all_q_lists(m, 2)):
-        L = make_g_m_q(m, q) if q else make_g_m(m)
+        L = make_g_m_q(m, q)
         seq = characteristic_sequence(L)
         candidates = complement_candidates(L)
         assert seq.certified, (m, q)
         assert seq.witness == tuple(candidates[0]), (m, q)
         assert seq.blocks == max(jordan_type_by_powers(L, x) for x in candidates), (m, q)
+        assert_jordan_blocks_match_the_oracle(L, candidates)
 
 
 def test_characteristic_sequence_below_the_rank_bound_is_not_certified():
@@ -455,6 +465,7 @@ def test_characteristic_sequence_below_the_rank_bound_is_not_certified():
     assert not seq.certified
     assert seq.blocks == max(jordan_type_by_powers(L, x) for x in complement_candidates(L))
     assert jordan_type_by_powers(L, seq.witness) == seq.blocks
+    assert_jordan_blocks_match_the_oracle(L, complement_candidates(L))
 
 
 def test_invariants_are_computed_once_per_algebra():
@@ -526,5 +537,11 @@ def test_json_parse_accepts_plain_document():
         "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "2/3"}}],
     }
     algebra = from_json_dict(doc)
-    assert algebra.fiber(0, 1).get(2, 0) == Fraction(2, 3)
+    assert list(algebra.entries()) == [(0, 1, 2, Fraction(2, 3))]
     assert to_json_dict(algebra) == doc
+
+
+def test_json_target_key_must_be_the_string_to_json_dict_writes():
+    doc = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {3: "1"}}]}
+    with pytest.raises(MalformedAlgebraError, match="bad target index 3"):
+        from_json_dict(doc)

@@ -129,10 +129,17 @@ HEISENBERG = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
         ),
         ("[" * 100000, "nested too deeply"),
         (json.dumps({"dim": 3, "family": {"family": [1, 2]}}), "'family.family' must be a string"),
-        # Aliases of one target index, and keys repeated literally (which
-        # json.load would otherwise collapse to the last value).
-        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1, "03": 5}}]}', "bracket (1, 2): duplicate target index 3"),
-        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {" 3": 1, "3": 5}}]}', "bracket (1, 2): duplicate target index 3"),
+        # A target key is read only in the form `gen` writes, so it has no
+        # aliases; keys repeated literally would otherwise collapse to the
+        # last value in json.load.
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1, "03": 5}}]}', "bracket (1, 2): bad target index '03'"),
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {" 3": 1, "3": 5}}]}', "bracket (1, 2): bad target index ' 3'"),
+        # At dim 12 a two-character key is not too long, so these reach the pattern.
+        ('{"dim": 12, "brackets": [{"i": 1, "j": 2, "coeffs": {"03": 1}}]}', "bracket (1, 2): bad target index '03'"),
+        ('{"dim": 12, "brackets": [{"i": 1, "j": 2, "coeffs": {"+3": 1}}]}', "bracket (1, 2): bad target index '+3'"),
+        ('{"dim": 12, "brackets": [{"i": 1, "j": 2, "coeffs": {" 3": 1}}]}', "bracket (1, 2): bad target index ' 3'"),
+        ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"\\u0663": 1}}]}', "bracket (1, 2): bad target index '\u0663'"),
+        ('{"dim": 12, "brackets": [{"i": 1, "j": 2, "coeffs": {"1_2": 1}}]}', "bracket (1, 2): bad target index '1_2'"),
         ('{"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": 1, "3": 5}}]}', "duplicate key '3' in a JSON object"),
         ('{"dim": 3, "dim": 4, "brackets": []}', "duplicate key 'dim' in a JSON object"),
         # Integer literals past Python's int-conversion digit limit.
@@ -142,15 +149,20 @@ HEISENBERG = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
         (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1e3000000"}}]}), "cannot parse coefficient '1e3000000'"),
         (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1.5"}}]}), "cannot parse coefficient '1.5'"),
         (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1_000"}}]}), "cannot parse coefficient '1_000'"),
+        # A long value is echoed as a prefix and its length.
+        (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "9" * 5000}}]}), "cannot parse coefficient '9999999999999999999... (5002 characters)"),
+        (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"9" * 5000: "1"}}]}), "bad target index '9999999999999999999... (5002 characters)"),
+        ('{"dim": 3, "brackets": [{"i": %s, "j": 2, "coeffs": {}}]}' % ("9" * 4000), "got 99999999999999999999... (4000 characters)"),
     ],
     ids=[
         "truncated", "unparseable-coefficient", "float-coefficient", "missing-dim",
         "string-dim", "negative-dim", "not-an-object", "short-basis", "family-not-object",
         "i-not-below-j", "target-out-of-range", "jacobi-violation", "duplicate-pair",
         "deeply-nested", "family-label-not-string", "aliased-target", "padded-alias-target",
+        "zero-padded-target", "signed-target", "space-padded-target", "arabic-indic-digit-target", "underscore-target",
         "repeated-target-key", "repeated-top-level-key", "long-dim-literal",
         "long-coefficient-literal", "exponent-coefficient", "decimal-coefficient",
-        "underscore-coefficient",
+        "underscore-coefficient", "long-coefficient-string", "long-target-key", "long-bracket-index",
     ],
 )
 def test_invariants_rejects_malformed_input(tmp_path, capsys, text, message):
@@ -161,6 +173,7 @@ def test_invariants_rejects_malformed_input(tmp_path, capsys, text, message):
     assert captured.out == ""
     assert captured.err.startswith("error:")
     assert len(captured.err.splitlines()) == 1
+    assert len(captured.err.encode()) < 200
     assert message in captured.err
 
 

@@ -75,8 +75,15 @@ def test_q_validation_messages():
         make_g_m_q(4, (4, 4))
     with pytest.raises(InvalidFamilyError, match="strictly increasing"):
         make_g_m_q(4, (5, 3))
+    # The empty cut list is gm (see below), but the family gmq names a cut
+    # member, so its recipe still needs a cut.
     with pytest.raises(InvalidFamilyError, match="at least one"):
-        make_g_m_q(4, ())
+        FamilySpec("gmq", m=4)
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_empty_cut_list_is_the_uncut_algebra(m):
+    assert make_g_m_q(m, ()) == make_g_m(m)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
