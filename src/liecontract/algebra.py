@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from itertools import combinations
 from math import lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
@@ -125,17 +126,27 @@ class LieAlgebra:
                     out[k] += coeff * c
         return tuple(out)
 
-    def _brackets_with(self, v: Mapping[int, int | Fraction]) -> list[dict[int, int | Fraction]]:
-        """_den * [X_r, v] for every basis index r, v and results sparse {s: coefficient}.
+    def _brackets_with(
+        self, v: Mapping[int, int | Fraction], adj: Sequence[Sequence[tuple[int, int, int]]] | None = None
+    ) -> dict[int, dict[int, int | Fraction]]:
+        """The nonzero _den * [X_r, v] as {r: {s: coefficient}}, v sparse as well.
 
-        An integral v gives integral results.
+        The products are formed from `adj`, which is `_adj` unless a copy of
+        `_adj` filtered to the triples (r, s, c) of some indices r is given:
+        then only the products with those X_r are formed.  An integral v
+        gives integral results.
         """
-        out: list[dict[int, int | Fraction]] = [{} for _ in range(self.dim)]
+        out: dict[int, dict[int, int | Fraction]] = {}
         for j, vj in v.items():
-            for (r, s, c) in self._adj[j]:
-                col = out[r]
+            for (r, s, c) in (self._adj if adj is None else adj)[j]:
+                col = out.setdefault(r, {})
                 col[s] = col.get(s, 0) + vj * c
-        return [{s: c for s, c in col.items() if c} for col in out]
+        nonzero = {}
+        for r, col in out.items():
+            row = {s: c for s, c in col.items() if c}
+            if row:
+                nonzero[r] = row
+        return nonzero
 
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of ad(x) = [x, .] in the algebra basis."""
@@ -145,7 +156,7 @@ class LieAlgebra:
         xs = {j: v if type(v) is Fraction else Fraction(v) for j, v in enumerate(x) if v}
         rows = [[_ZERO] * n for _ in range(n)]
         # Column r of ad(x) is [x, X_r] = -[X_r, x].
-        for r, col in enumerate(self._brackets_with(xs)):
+        for r, col in self._brackets_with(xs).items():
             for s, c in col.items():
                 rows[s][r] = -c / self._den
         return Matrix(rows, ncols=n)
@@ -165,8 +176,8 @@ def _per_algebra(compute):
     """Make `compute(L)` run once per algebra; the result is kept in `L._memo`.
 
     Only for invariants of L alone whose results are immutable (`Subspace`,
-    `SeriesReport`, `JacobiReport`), so every caller can be handed the same
-    object.
+    `SeriesReport`, `JacobiReport`, `_GeneratedSeries`), so every caller can
+    be handed the same object.
     """
 
     @wraps(compute)
@@ -289,7 +300,7 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
     rows: list[dict[int, int]] = []
     for v in S._rows:
         per_s: dict[int, dict[int, int]] = {}
-        for i, w in enumerate(L._brackets_with(v)):
+        for i, w in L._brackets_with(v).items():
             for s, val in w.items():
                 per_s.setdefault(s, {})[i] = val
         rows.extend(per_s[s] for s in sorted(per_s))
@@ -298,21 +309,56 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
 
 @_per_algebra
 def center(L: LieAlgebra) -> Subspace:
-    return centralizer(L, Subspace.full(L.dim))
+    """Z(L) = {x : [x, X_j] = 0 for every j}, one row per (j, s) read from `_adj[j]`.
+
+    Two lemmas cut the system, each under a guard.
+    - When some basis index has a nonzero torus weight (see `_torus_weights`),
+      [X_a, x] scales each coordinate x_r by the weight of X_r under X_a, so
+      x in Z(L) has x_r = 0 wherever that weight is nonzero: only the
+      coordinates of weight zero are solved for.
+    - Otherwise, when the certified series of `_generated_series` reaches 0,
+      L is nilpotent and its generators S (a complement of [L, L]) generate
+      it.  The centralizer of S is then the centralizer of the subalgebra S
+      generates, so Z(L) = C_L(S): only the indices j in S give rows.
+    Without either, every j gives rows.
+    """
+    n, adj = L.dim, L._adj
+    weights = _torus_weights(L)
+    weight_zero = [not any(w) for w in weights]
+    # [h, x] = 0 for the torus elements h forces every coordinate of nonzero weight to zero.
+    rows: list[dict[int, int]] = [{r: 1} for r in range(n) if not weight_zero[r]]
+    indices: Sequence[int] = range(n)
+    if not rows:
+        generated = _generated_series(L)
+        if generated.generates:
+            indices = generated.generators
+    for j in indices:
+        # (r, s, c) in adj[j]: [X_r, X_j] = c X_s, so row (j, s) holds c at x_r.
+        per_s: dict[int, dict[int, int]] = {}
+        for (r, s, c) in adj[j]:
+            if weight_zero[r]:
+                per_s.setdefault(s, {})[r] = c
+        rows.extend(per_s.values())
+    return nullspace_of_rows(rows, n)
 
 
 def bracket_subspaces(L: LieAlgebra, A: Subspace, B: Subspace) -> Subspace:
-    """span{[a, b] : a in A, b in B}."""
+    """span{[a, b] : a in A, b in B}.
+
+    When A = B, [a, a] = 0 and [a', a] = -[a, a'], so each unordered pair of
+    canonical rows is formed once.
+    """
     if A.ambient_dim != L.dim or B.ambient_dim != L.dim:
         raise DimensionError("subspace ambient does not match algebra dimension")
+    same = A == B
     products: list[dict[int, int]] = []
-    for b in B._rows:
+    for q, b in enumerate(B._rows):
         cols = L._brackets_with(b)
-        for a in A._rows:
+        for a in A._rows[:q] if same else A._rows:
             # [a, b] = sum_r a_r [X_r, b], up to the factor _den
             out: dict[int, int] = {}
             for r, ar in a.items():
-                for s, c in cols[r].items():
+                for s, c in cols.get(r, {}).items():
                     out[s] = out.get(s, 0) + ar * c
             products.append(out)
     return Subspace._from_rows(products, L.dim)
@@ -358,11 +404,97 @@ def _descending_series(L: LieAlgebra, step) -> SeriesReport:
     return SeriesReport(terms=tuple(terms), dims=dims, nilindex=nilindex)
 
 
+def _closed_into(L: LieAlgebra, rows: Sequence[dict[int, int]], sub: Subspace) -> bool:
+    """True iff [L, v] lies in `sub` for every v in `rows`."""
+    products = [p for v in rows for p in L._brackets_with(v).values()]
+    return Subspace._from_rows([*sub._rows, *products], L.dim).dim == sub.dim
+
+
+def _certifies(L: LieAlgebra, series: SeriesReport) -> bool:
+    """The two checks of `_generated_series`: [L, W_k] in K^(k+1), and [L, K^N] in K^N when K^N != 0."""
+    terms = series.terms
+    if series.nilindex is None and not _closed_into(L, terms[-1]._rows, terms[-1]):
+        return False
+    for term, nxt in zip(terms, terms[1:]):
+        leads = {min(row) for row in nxt._rows}
+        fresh = [row for row in term._rows if min(row) not in leads]
+        if not _closed_into(L, fresh, nxt):
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class _GeneratedSeries:
+    """The lower central series of L, built from the generators of L where that is certified.
+
+    `generators` are the basis indices that are not leads of [L, L]; their
+    unit vectors span a complement of [L, L].  `certified` is true when
+    `series` was built from them and passed the check of `_generated_series`,
+    false when it is the [L, C^k] series.  `generates` is true when the
+    generators provably generate L.
+    """
+
+    generators: tuple[int, ...]
+    series: SeriesReport
+    certified: bool
+
+    @property
+    def generates(self) -> bool:
+        # A certified series that reaches 0 makes L nilpotent, and a complement
+        # of [L, L] generates a nilpotent L.
+        return self.certified and self.series.nilindex is not None
+
+
 @_per_algebra
+def _generated_series(L: LieAlgebra) -> _GeneratedSeries:
+    """The lower central series C^k from the generators S, checked by a certificate.
+
+    Put K^1 = L and K^(k+1) = [S, K^k], each product formed by
+    `_brackets_with` from `_adj` filtered to S.  Then K^(k+1) is in K^k and
+    K^k is in C^k.  If [L, K^k] is in K^(k+1) for every k, then C^k is in
+    K^k by induction, so K = C term by term.  Let W_k be the canonical rows
+    of K^k whose leads are not leads of K^(k+1): they and K^(k+1) span K^k,
+    so [L, K^k] = [L, W_k] + [L, K^(k+1)], and from the last term up two
+    checks suffice:
+    - [L, W_k] is in K^(k+1) for every k;
+    - [L, K^N] is in K^N when the K series stops at a nonzero K^N = [S, K^N].
+    That is |S| products per row of each K^k and n per row of each W_k and
+    of a nonzero K^N, against n per row of each C^k.  The check passes for
+    every nilpotent L, since S then generates L.  When it fails (for
+    instance when [L, L] = L, as in so(3)), the series is [L, C^k] as
+    computed directly, and `certified` is false.
+    """
+    n = L.dim
+    leads = {min(row) for row in derived_subalgebra(L)._rows}
+    generators = tuple(c for c in range(n) if c not in leads)
+    kept = set(generators)
+    adj_s = tuple(tuple(t for t in row if t[0] in kept) for row in L._adj)
+    series = _descending_series(
+        L,
+        lambda term: Subspace._from_rows(
+            [p for v in term._rows for p in L._brackets_with(v, adj_s).values()], n
+        ),
+    )
+    certified = _certifies(L, series)
+    if not certified:
+        full = Subspace.full(n)
+        series = _descending_series(L, lambda term: bracket_subspaces(L, full, term))
+    return _GeneratedSeries(generators, series, certified)
+
+
 def lower_central_series(L: LieAlgebra) -> SeriesReport:
-    """C^(i+1) = [L, C^(i)], starting from the whole algebra."""
-    full = Subspace.full(L.dim)
-    return _descending_series(L, lambda term: bracket_subspaces(L, full, term))
+    """C^(i+1) = [L, C^(i)], starting from the whole algebra.
+
+    Built from the generators S of L (the basis indices that are not leads of
+    [L, L]) as K^(k+1) = [S, K^k], which is always inside C^k.  A
+    certificate proves K^k = C^k for every k: [L, W_k] lies in K^(k+1) for
+    the rows W_k of K^k whose leads are not leads of K^(k+1), and [L, K^N]
+    lies in K^N when the series stops at a nonzero K^N (see
+    `_generated_series`).  Where the certificate fails, as on so(3),
+    [L, C^k] is computed directly.  Either way the terms are the canonical
+    C^k.
+    """
+    return _generated_series(L).series
 
 
 def derived_series(L: LieAlgebra) -> SeriesReport:
@@ -380,8 +512,12 @@ def is_solvable(L: LieAlgebra) -> bool:
 
 @_per_algebra
 def derived_subalgebra(L: LieAlgebra) -> Subspace:
-    full = Subspace.full(L.dim)
-    return bracket_subspaces(L, full, full)
+    """[L, L], the span of the [X_i, X_j]: one row per stored pair (i, j), read from the tensor.
+
+    A pair that is not stored has [X_i, X_j] = 0, so the stored fibers span
+    [L, L]; the elimination core clears their denominators.
+    """
+    return Subspace._from_rows(L._tensor.values(), L.dim)
 
 
 def betti1(L: LieAlgebra) -> int:
@@ -432,10 +568,17 @@ def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
     (i, j) and output component s has torus weight w_s - w_i - w_j (see
     `_torus_weights`), so only the equations with w_s = w_i + w_j are built:
     they involve exactly the unknowns D_rc with w_r = w_c.  With no nonzero
-    weight this is the whole system.  The structure constants enter scaled by
-    `L._den`, as `L._adj` holds them; every equation is linear in them, so
-    the kernel is unchanged and all rows are integral.  Rows come per pair
-    (i, j) in lex order, then per output component s.
+    weight this is the whole system, and one more lemma cuts it when its
+    guard holds: if the certified series of `_generated_series` reaches 0,
+    the generators S generate L, and only the pairs (i, j) with i or j in S
+    are built.  The kernel is the same, because by the Jacobi identity the x
+    with D[x, y] = [Dx, y] + [x, Dy] for every y form a subalgebra: the
+    equations on S put S in it, and S generates L.  Without the guard (so(3)
+    has [L, L] = L and no generator at all) every pair is built.  The
+    structure constants enter scaled by `L._den`, as `L._adj` holds them;
+    every equation is linear in them, so the kernel is unchanged and all
+    rows are integral.  Rows come per pair (i, j) in lex order, then per
+    output component s.
     """
     n, den, adj = L.dim, L._den, L._adj
     weights = _torus_weights(L)
@@ -445,30 +588,35 @@ def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
     # class_of[s] is the very list classes[w_s], so `class_of[s] is outputs`
     # tests w_s = w_i + w_j without comparing tuples.
     class_of = [classes[w] for w in weights]
+    pairs: Iterator[tuple[int, int]] = combinations(range(n), 2)
+    if not any(map(any, weights)):
+        generated = _generated_series(L)
+        if generated.generates:
+            generators = set(generated.generators)
+            pairs = ((i, j) for i, j in pairs if i in generators or j in generators)
     rows: list[dict[int, int]] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            outputs = classes.get(tuple(map(add, weights[i], weights[j])))
-            if outputs is None:
-                continue
-            fiber = L._tensor.get((i, j), {})
-            terms = [(k, c.numerator * (den // c.denominator)) for k, c in fiber.items()]
-            per_s = {s: {s * n + k: c for k, c in terms} for s in outputs} if terms else {}
-            # Moved to the left, [DX_i, X_j] = sum_r D_ri [X_r, X_j] gives -c D_ri
-            # for each (r, s, c) in adj[j], and [X_i, DX_j] = -sum_r D_rj [X_r, X_i]
-            # gives +c D_rj for each (r, s, c) in adj[i].
-            for other, sign, entries in ((i, -1, adj[j]), (j, 1, adj[i])):
-                for (r, s, c) in entries:
-                    if class_of[s] is not outputs:
-                        continue
-                    row = per_s.setdefault(s, {})
-                    col = r * n + other
-                    new = row.get(col, 0) + sign * c
-                    if new:
-                        row[col] = new
-                    else:
-                        del row[col]
-            rows.extend(per_s[s] for s in sorted(per_s) if per_s[s])
+    for i, j in pairs:
+        outputs = classes.get(tuple(map(add, weights[i], weights[j])))
+        if outputs is None:
+            continue
+        fiber = L._tensor.get((i, j), {})
+        terms = [(k, c.numerator * (den // c.denominator)) for k, c in fiber.items()]
+        per_s = {s: {s * n + k: c for k, c in terms} for s in outputs} if terms else {}
+        # Moved to the left, [DX_i, X_j] = sum_r D_ri [X_r, X_j] gives -c D_ri
+        # for each (r, s, c) in adj[j], and [X_i, DX_j] = -sum_r D_rj [X_r, X_i]
+        # gives +c D_rj for each (r, s, c) in adj[i].
+        for other, sign, entries in ((i, -1, adj[j]), (j, 1, adj[i])):
+            for (r, s, c) in entries:
+                if class_of[s] is not outputs:
+                    continue
+                row = per_s.setdefault(s, {})
+                col = r * n + other
+                new = row.get(col, 0) + sign * c
+                if new:
+                    row[col] = new
+                else:
+                    del row[col]
+        rows.extend(per_s[s] for s in sorted(per_s) if per_s[s])
     return rows
 
 
@@ -670,6 +818,10 @@ def _json_index(value, what: str, lo: int, hi: int | None = None) -> int:
     return value
 
 
+# The largest dim that from_json_dict reads.  A document of a few bytes can
+# name any dim, and an algebra with few brackets has about n^2 derivations,
+# each a kernel row, so the cap bounds the work and memory a small file can ask for.
+_MAX_JSON_DIM = 512
 # The coefficient strings that to_json_dict writes: str(Fraction), "p" or "p/q".
 _COEFFICIENT = re.compile(r"-?[0-9]+(/[0-9]+)?")
 # The target keys that to_json_dict writes: str(k) for a 1-based index k.
@@ -693,7 +845,8 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
     """Read the document written by to_json_dict, rejecting anything malformed.
 
     Raises MalformedAlgebraError on a missing or mistyped field (including a
-    non-string 'family.family' label), an index out of range, a repeated
+    non-string 'family.family' label), a 'dim' above 512 (checked before
+    anything is built), an index out of range, a repeated
     (i, j) pair, a 'coeffs' key not in the form to_json_dict writes (a
     string of ASCII digits with no leading zero and no more digits than
     str(dim), so "03", "+3", " 3", "1_2" and the int 3 are all rejected),
@@ -706,6 +859,8 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
     if "dim" not in data:
         raise MalformedAlgebraError("algebra document has no 'dim' field")
     dim = _json_index(data["dim"], "dim", 0)
+    if dim > _MAX_JSON_DIM:
+        raise MalformedAlgebraError(f"dim must be at most {_MAX_JSON_DIM}, got {_brief(dim)}")
     labels = data.get("basis")
     if labels is not None and not (
         isinstance(labels, list) and len(labels) == dim and all(isinstance(x, str) for x in labels)

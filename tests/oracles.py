@@ -3,16 +3,20 @@
 Everything here deliberately avoids the package's elimination core: ranks are
 computed by a right-to-left, bottom-up, non-normalizing eliminator, Jordan
 types come from the ranks of dense powers of ad(x), derivation systems are
-assembled by probing elementary matrices through the bracket, a matrix is
-tested as a derivation on every basis pair through the bracket, exponent
-vectors come from plain integer forward substitution, the Jacobi sum is
-swept over every basis triple from the Fraction fibers of the tensor, and a
-reduced row echelon form comes from textbook Gauss-Jordan on dense Fraction
-rows.
+assembled by probing elementary matrices through the dense table of basis
+brackets, a matrix is tested as a derivation on every basis pair through
+that table, exponent vectors come from plain integer forward substitution,
+the Jacobi sum is swept over every basis triple from the Fraction fibers of
+the tensor, and a reduced row echelon form comes from textbook Gauss-Jordan
+on dense Fraction rows.  The lower central series, the derived algebra and
+the center are spanned or solved from the same table and reduced by that
+Gauss-Jordan.  Nothing is imported from the package: an algebra is read
+only through `L.dim`, `L.entries()` and the public bracket.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -51,10 +55,18 @@ def rank_reverse_elimination(rows) -> int:
 
 
 def _unit_brackets(L) -> list[list[tuple[Fraction, ...]]]:
-    """[X_a, X_b] for every pair of basis indices, from the public bracket."""
+    """[X_a, X_b] for every pair of basis indices, as dense tuples.
+
+    Read from the tensor as `L.entries()` gives it, with [X_b, X_a] =
+    -[X_a, X_b] applied here, so it shares no code with the bracket readings
+    of the package.
+    """
     n = L.dim
-    units = [[Fraction(int(c == a)) for c in range(n)] for a in range(n)]
-    return [[L.bracket(units[a], units[b]) for b in range(n)] for a in range(n)]
+    table = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    for (i, j, k, c) in L.entries():
+        table[i][j][k] = c
+        table[j][i][k] = -c
+    return [[tuple(w) for w in row] for row in table]
 
 
 def ad_power_ranks(L, x) -> tuple[int, ...]:
@@ -212,3 +224,125 @@ def rref_gauss_jordan(rows, ncols: int) -> dict[int, dict[int, Fraction]]:
                 work[i] = [a - factor * b for a, b in zip(other, work[top])]
         pivots.append(col)
     return {col: {c: v for c, v in enumerate(work[i]) if v} for i, col in enumerate(pivots)}
+
+
+def _rref_basis(vectors, ncols: int) -> tuple[tuple[Fraction, ...], ...]:
+    """The reduced row echelon basis of the span of dense vectors, rows in pivot order.
+
+    Each nonzero vector is scaled to a leading 1 and repeats are dropped
+    before `rref_gauss_jordan`, which leaves the span as it is.
+    """
+    distinct = set()
+    for v in vectors:
+        lead = next((x for x in v if x), 0)
+        if lead:
+            distinct.add(tuple(x / lead for x in v))
+    pivots = rref_gauss_jordan([{c: x for c, x in enumerate(v) if x} for v in sorted(distinct)], ncols)
+    return tuple(tuple(pivots[p].get(c, Fraction(0)) for c in range(ncols)) for p in sorted(pivots))
+
+
+def _bracket_vector(brackets, a: int, v) -> list[Fraction]:
+    """[X_a, v] by bilinearity over the brackets of basis vectors."""
+    out = [Fraction(0)] * len(v)
+    for j, vj in enumerate(v):
+        if vj:
+            for s, w in enumerate(brackets[a][j]):
+                if w:
+                    out[s] += vj * w
+    return out
+
+
+def lower_central_series_by_brackets(brackets) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The terms C^1 = L, C^(k+1) = [L, C^k] as reduced row echelon bases, until 0 or a repeat.
+
+    `brackets` is `_unit_brackets(L)`.  C^(k+1) is spanned by [X_a, v] for
+    every basis index a and every basis row v of C^k, each product expanded
+    over the brackets of basis vectors, and the span is reduced by textbook
+    Gauss-Jordan.
+    """
+    n = len(brackets)
+    term = _rref_basis([[Fraction(int(c == a)) for c in range(n)] for a in range(n)], n)
+    terms = [term]
+    while term:
+        nxt = _rref_basis([_bracket_vector(brackets, a, v) for v in term for a in range(n)], n)
+        if nxt == term:
+            break
+        terms.append(nxt)
+        term = nxt
+    return tuple(terms)
+
+
+def derived_algebra_by_brackets(brackets) -> tuple[tuple[Fraction, ...], ...]:
+    """[L, L] as a reduced row echelon basis: the span of [X_a, X_b] over every pair a < b.
+
+    `brackets` is `_unit_brackets(L)`.
+    """
+    n = len(brackets)
+    return _rref_basis([brackets[a][b] for a, b in combinations(range(n), 2)], n)
+
+
+def center_by_brackets(brackets) -> tuple[tuple[Fraction, ...], ...]:
+    """Z(L) as a reduced row echelon basis: the kernel of x -> ([x, X_j])_j.
+
+    `brackets` is `_unit_brackets(L)`.  One equation per (j, s): the sum
+    over a of x_a [X_a, X_j]_s is 0.  The kernel is read off the
+    Gauss-Jordan form (a free column f gives x_f = 1 and x_p = -row_p[f] on
+    each pivot row p), then put in echelon form itself.
+    """
+    n = len(brackets)
+    equations = [{a: brackets[a][j][s] for a in range(n) if brackets[a][j][s]} for j in range(n) for s in range(n)]
+    pivots = rref_gauss_jordan([row for row in equations if row], n)
+    kernel = []
+    for f in range(n):
+        if f in pivots:
+            continue
+        x = [Fraction(0)] * n
+        x[f] = Fraction(1)
+        for p, row in pivots.items():
+            x[p] = -row.get(f, Fraction(0))
+        kernel.append(x)
+    return _rref_basis(kernel, n)
+
+
+def inverse_by_gauss_jordan(P):
+    """P^-1 over Fraction, apart from the package's elimination core."""
+    n = len(P)
+    rows = [[Fraction(v) for v in row] + [Fraction(int(c == r)) for c in range(n)] for r, row in enumerate(P)]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
+    return [row[n:] for row in rows]
+
+
+def in_basis(payload, P):
+    """The JSON payload of the same algebra in the basis Y_a = sum_i P[a][i] X_i."""
+    n = payload["dim"]
+    Q = inverse_by_gauss_jordan(P)  # X_k = sum_c Q[k][c] Y_c
+    brackets = []
+    for a in range(n):
+        for b in range(a + 1, n):
+            x = [Fraction(0)] * n
+            for entry in payload["brackets"]:
+                i, j = entry["i"] - 1, entry["j"] - 1
+                weight = P[a][i] * P[b][j] - P[a][j] * P[b][i]
+                for k, c in entry["coeffs"].items():
+                    x[int(k) - 1] += weight * Fraction(c)
+            y = {c: sum(x[k] * Q[k][c] for k in range(n)) for c in range(n)}
+            coeffs = {str(c + 1): str(v) for c, v in y.items() if v}
+            if coeffs:
+                brackets.append({"i": a + 1, "j": b + 1, "coeffs": coeffs})
+    return {"dim": n, "basis": [f"Y{a + 1}" for a in range(n)], "brackets": brackets}
+
+
+def random_basis(n: int, seed: int) -> list[list[int]]:
+    """A seeded invertible n x n integer matrix with entries in [-2, 2], for `in_basis`."""
+    rng = random.Random(seed)
+    while True:
+        P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
+        if len(rref_gauss_jordan([{c: v for c, v in enumerate(row) if v} for row in P], n)) == n:
+            return P

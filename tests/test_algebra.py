@@ -12,6 +12,7 @@ from liecontract.algebra import (
     NotNilpotentError,
     _derivation_rows,
     _descending_series,
+    _generated_series,
     _jordan_blocks,
     betti1,
     bracket_subspaces,
@@ -42,10 +43,16 @@ from liecontract.families import (
     make_model_filiform,
 )
 from oracles import (
+    _unit_brackets,
     ad_power_ranks,
+    center_by_brackets,
     derivation_by_brackets,
     derivation_nullity_bruteforce,
+    derived_algebra_by_brackets,
+    in_basis,
     jordan_type_by_powers,
+    lower_central_series_by_brackets,
+    random_basis,
     rank_reverse_elimination,
 )
 
@@ -222,6 +229,74 @@ def test_centralizer_dichotomy_at_the_middle(g4):
     cm_prev = report.terms[2]
     assert cm.is_subset(centralizer(g4, cm))
     assert not cm_prev.is_subset(centralizer(g4, cm_prev))
+
+
+# --- the series, center and derived algebra against the oracles ---------------
+
+
+def dense(L, seed):
+    """L in a seeded dense basis with entries in [-2, 2], read back through the JSON boundary."""
+    return from_json_dict(in_basis(to_json_dict(L), random_basis(L.dim, seed)))
+
+
+def assert_subspace_invariants_match_the_oracles(L):
+    brackets = _unit_brackets(L)
+    assert tuple(t.basis for t in lower_central_series(L).terms) == lower_central_series_by_brackets(brackets)
+    assert center(L).basis == center_by_brackets(brackets)
+    assert derived_subalgebra(L).basis == derived_algebra_by_brackets(brackets)
+
+
+@pytest.mark.parametrize("m", range(4, 11))
+def test_series_center_and_derived_algebra_match_the_oracles_on_the_grid(m):
+    # 168 gm(q..) with m = 4..10 and k <= 2, and their extensions rm(q..).
+    for q in [()] + list(all_q_lists(m, 2)):
+        g = make_g_m_q(m, q)
+        assert_subspace_invariants_match_the_oracles(g)
+        assert_subspace_invariants_match_the_oracles(build_r_m(m, q))
+        # Every gm(q..) takes the certified series and the Leibniz equations on
+        # its generators only.
+        assert _generated_series(g).generates, (m, q)
+        if m <= 7:
+            assert derivations(g).dim == derivation_nullity_bruteforce(g), (m, q)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_series_center_derived_algebra_and_derivations_in_a_dense_basis(seed):
+    L = dense(make_g_m_q(4, (4,)), seed)
+    assert L._den > 1 and len(L._tensor) > 30
+    assert_subspace_invariants_match_the_oracles(L)
+    assert _generated_series(L).generates
+    # dim Der does not depend on the basis: it is the 22 of the adapted g4(4),
+    # which the brute-force count confirms there.
+    assert derivations(L).dim == 22
+
+
+# [X1,X2] = X3, [X2,X3] = X1, [X3,X1] = X2: [L, L] = L, and no ad(X_a) is diagonal.
+SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
+
+
+@pytest.mark.parametrize(
+    "name, series, center_dim, der_dim",
+    [("so3", (3,), 0, 3), ("so3+C", (4, 3), 1, 4), ("dense rm4(4)", (12, 9), 0, 12)],
+)
+def test_algebras_outside_the_guards_take_the_full_systems(name, series, center_dim, der_dim):
+    L = {
+        "so3": LieAlgebra(3, SO3),
+        "so3+C": LieAlgebra(4, SO3),
+        "dense rm4(4)": dense(build_r_m(4, (4,)), 1),
+    }[name]
+    assert lower_central_series(L).dims == series
+    assert center(L).dim == center_dim
+    assert_subspace_invariants_match_the_oracles(L)
+    assert derivations(L).dim == der_dim
+    if name != "dense rm4(4)":  # the brute-force count takes a minute on its dense rows
+        assert derivation_nullity_bruteforce(L) == der_dim
+    generated = _generated_series(L)
+    # so(3) and so(3) + C fail the certificate and take the [L, C^k] series.
+    # The dense rm4(4) passes it (its series is certified equal to C^k), but
+    # is not nilpotent, so its generators need not generate it.
+    assert generated.certified == (name == "dense rm4(4)")
+    assert not generated.generates
 
 
 # --- derivations -------------------------------------------------------------

@@ -14,7 +14,7 @@ from liecontract.algebra import LieAlgebra, MalformedAlgebraError, check_jacobi,
 from liecontract.cli import run
 from liecontract.completeness import build_r_m
 from liecontract.families import FamilySpec, make_g_m_q
-from oracles import jacobi_violations_by_fibers
+from oracles import in_basis, jacobi_violations_by_fibers
 
 
 def out_of(capsys):
@@ -153,6 +153,9 @@ HEISENBERG = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
         (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "9" * 5000}}]}), "cannot parse coefficient '9999999999999999999... (5002 characters)"),
         (json.dumps({"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"9" * 5000: "1"}}]}), "bad target index '9999999999999999999... (5002 characters)"),
         ('{"dim": 3, "brackets": [{"i": %s, "j": 2, "coeffs": {}}]}' % ("9" * 4000), "got 99999999999999999999... (4000 characters)"),
+        # One past the cap on dim, and a dim far past it, rejected before anything is built.
+        (json.dumps({"dim": 513, "brackets": []}), "dim must be at most 512, got 513"),
+        ('{"dim": %s, "brackets": []}' % ("9" * 4000), "dim must be at most 512, got 99999999999999999999... (4000 characters)"),
     ],
     ids=[
         "truncated", "unparseable-coefficient", "float-coefficient", "missing-dim",
@@ -163,6 +166,7 @@ HEISENBERG = {"dim": 3, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}]}
         "repeated-target-key", "repeated-top-level-key", "long-dim-literal",
         "long-coefficient-literal", "exponent-coefficient", "decimal-coefficient",
         "underscore-coefficient", "long-coefficient-string", "long-target-key", "long-bracket-index",
+        "dim-above-cap", "long-dim-above-cap",
     ],
 )
 def test_invariants_rejects_malformed_input(tmp_path, capsys, text, message):
@@ -422,41 +426,6 @@ DENSE_BASIS = [
     [-1, 0, 1, 2, -1, 0, 1, 2, 0],
     [0, 1, -1, -1, 0, -1, 2, -2, -2],
 ]
-
-
-def inverse_by_gauss_jordan(P):
-    """P^-1 over Fraction, apart from the package's elimination core."""
-    n = len(P)
-    rows = [[Fraction(v) for v in row] + [Fraction(int(c == r)) for c in range(n)] for r, row in enumerate(P)]
-    for col in range(n):
-        pivot = next(r for r in range(col, n) if rows[r][col])
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        rows[col] = [v / rows[col][col] for v in rows[col]]
-        for r in range(n):
-            factor = rows[r][col]
-            if r != col and factor:
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[col])]
-    return [row[n:] for row in rows]
-
-
-def in_basis(payload, P):
-    """The JSON payload of the same algebra in the basis Y_a = sum_i P[a][i] X_i."""
-    n = payload["dim"]
-    Q = inverse_by_gauss_jordan(P)  # X_k = sum_c Q[k][c] Y_c
-    brackets = []
-    for a in range(n):
-        for b in range(a + 1, n):
-            x = [Fraction(0)] * n
-            for entry in payload["brackets"]:
-                i, j = entry["i"] - 1, entry["j"] - 1
-                weight = P[a][i] * P[b][j] - P[a][j] * P[b][i]
-                for k, c in entry["coeffs"].items():
-                    x[int(k) - 1] += weight * Fraction(c)
-            y = {c: sum(x[k] * Q[k][c] for k in range(n)) for c in range(n)}
-            coeffs = {str(c + 1): str(v) for c, v in y.items() if v}
-            if coeffs:
-                brackets.append({"i": a + 1, "j": b + 1, "coeffs": coeffs})
-    return {"dim": n, "basis": [f"Y{a + 1}" for a in range(n)], "brackets": brackets}
 
 
 def test_invariants_are_basis_independent_in_a_dense_basis(tmp_path, capsys):
