@@ -176,8 +176,8 @@ def _per_algebra(compute):
     """Make `compute(L)` run once per algebra; the result is kept in `L._memo`.
 
     Only for invariants of L alone whose results are immutable (`Subspace`,
-    `SeriesReport`, `JacobiReport`, `_GeneratedSeries`), so every caller can
-    be handed the same object.
+    `SeriesReport`, `JacobiReport`, tuples), so every caller can be handed
+    the same object.
     """
 
     @wraps(compute)
@@ -309,30 +309,19 @@ def centralizer(L: LieAlgebra, S: Subspace) -> Subspace:
 
 @_per_algebra
 def center(L: LieAlgebra) -> Subspace:
-    """Z(L) = {x : [x, X_j] = 0 for every j}, one row per (j, s) read from `_adj[j]`.
+    """Z(L) = {x : [x, X_j] = 0 for every j in G}, one row per (j, s) read from `_adj[j]`.
 
-    Two lemmas cut the system, each under a guard.
-    - When some basis index has a nonzero torus weight (see `_torus_weights`),
-      [X_a, x] scales each coordinate x_r by the weight of X_r under X_a, so
-      x in Z(L) has x_r = 0 wherever that weight is nonzero: only the
-      coordinates of weight zero are solved for.
-    - Otherwise, when the certified series of `_generated_series` reaches 0,
-      L is nilpotent and its generators S (a complement of [L, L]) generate
-      it.  The centralizer of S is then the centralizer of the subalgebra S
-      generates, so Z(L) = C_L(S): only the indices j in S give rows.
-    Without either, every j gives rows.
+    G is the generating set of `_generators`, so this is Z(L).  When some
+    basis index has a nonzero torus weight (see `_torus_weights`), [X_a, x]
+    scales each coordinate x_r by the weight of X_r under X_a, so x in Z(L)
+    has x_r = 0 wherever that weight is nonzero: only the coordinates of
+    weight zero are solved for.
     """
     n, adj = L.dim, L._adj
-    weights = _torus_weights(L)
-    weight_zero = [not any(w) for w in weights]
+    weight_zero = [not any(w) for w in _torus_weights(L)]
     # [h, x] = 0 for the torus elements h forces every coordinate of nonzero weight to zero.
     rows: list[dict[int, int]] = [{r: 1} for r in range(n) if not weight_zero[r]]
-    indices: Sequence[int] = range(n)
-    if not rows:
-        generated = _generated_series(L)
-        if generated.generates:
-            indices = generated.generators
-    for j in indices:
+    for j in _generators(L):
         # (r, s, c) in adj[j]: [X_r, X_j] = c X_s, so row (j, s) holds c at x_r.
         per_s: dict[int, dict[int, int]] = {}
         for (r, s, c) in adj[j]:
@@ -404,97 +393,62 @@ def _descending_series(L: LieAlgebra, step) -> SeriesReport:
     return SeriesReport(terms=tuple(terms), dims=dims, nilindex=nilindex)
 
 
-def _closed_into(L: LieAlgebra, rows: Sequence[dict[int, int]], sub: Subspace) -> bool:
-    """True iff [L, v] lies in `sub` for every v in `rows`."""
-    products = [p for v in rows for p in L._brackets_with(v).values()]
-    return Subspace._from_rows([*sub._rows, *products], L.dim).dim == sub.dim
+def _adj_from(L: LieAlgebra, indices: Sequence[int]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
+    """`L._adj` filtered to the triples (r, s, c) with r in `indices`, for `_brackets_with`."""
+    kept = set(indices)
+    return tuple(tuple(t for t in row if t[0] in kept) for row in L._adj)
 
 
-def _certifies(L: LieAlgebra, series: SeriesReport) -> bool:
-    """The two checks of `_generated_series`: [L, W_k] in K^(k+1), and [L, K^N] in K^N when K^N != 0."""
-    terms = series.terms
-    if series.nilindex is None and not _closed_into(L, terms[-1]._rows, terms[-1]):
-        return False
-    for term, nxt in zip(terms, terms[1:]):
-        leads = {min(row) for row in nxt._rows}
-        fresh = [row for row in term._rows if min(row) not in leads]
-        if not _closed_into(L, fresh, nxt):
-            return False
-    return True
-
-
-@dataclass(frozen=True)
-class _GeneratedSeries:
-    """The lower central series of L, built from the generators of L where that is certified.
-
-    `generators` are the basis indices that are not leads of [L, L]; their
-    unit vectors span a complement of [L, L].  `certified` is true when
-    `series` was built from them and passed the check of `_generated_series`,
-    false when it is the [L, C^k] series.  `generates` is true when the
-    generators provably generate L.
-    """
-
-    generators: tuple[int, ...]
-    series: SeriesReport
-    certified: bool
-
-    @property
-    def generates(self) -> bool:
-        # A certified series that reaches 0 makes L nilpotent, and a complement
-        # of [L, L] generates a nilpotent L.
-        return self.certified and self.series.nilindex is not None
+def _span_of_brackets(L: LieAlgebra, adj, rows: Sequence[dict[int, int]]) -> Subspace:
+    """span{[X_r, v] : v in `rows`} over the indices r that `adj` keeps (see `_adj_from`)."""
+    return Subspace._from_rows([p for v in rows for p in L._brackets_with(v, adj).values()], L.dim)
 
 
 @_per_algebra
-def _generated_series(L: LieAlgebra) -> _GeneratedSeries:
-    """The lower central series C^k from the generators S, checked by a certificate.
+def _generators(L: LieAlgebra) -> tuple[int, ...]:
+    """A set G of basis indices whose unit vectors generate L.
 
-    Put K^1 = L and K^(k+1) = [S, K^k], each product formed by
-    `_brackets_with` from `_adj` filtered to S.  Then K^(k+1) is in K^k and
-    K^k is in C^k.  If [L, K^k] is in K^(k+1) for every k, then C^k is in
-    K^k by induction, so K = C term by term.  Let W_k be the canonical rows
-    of K^k whose leads are not leads of K^(k+1): they and K^(k+1) span K^k,
-    so [L, K^k] = [L, W_k] + [L, K^(k+1)], and from the last term up two
-    checks suffice:
-    - [L, W_k] is in K^(k+1) for every k;
-    - [L, K^N] is in K^N when the K series stops at a nonzero K^N = [S, K^N].
-    That is |S| products per row of each K^k and n per row of each W_k and
-    of a nonzero K^N, against n per row of each C^k.  The check passes for
-    every nilpotent L, since S then generates L.  When it fails (for
-    instance when [L, L] = L, as in so(3)), the series is [L, C^k] as
-    computed directly, and `certified` is false.
+    Let S be the basis indices that are not leads of [L, L]; their unit
+    vectors span a complement of [L, L].  The subalgebra that S generates is
+    the sum of T_1 = span{X_s : s in S} and T_(k+1) = [S, T_k], the spans of
+    the right-nested brackets of k elements of S.  If the sum reaches L, G
+    is S.  If some T_k adds nothing to the sum, no later one does (T_(k+1)
+    then lies in [S, T_1 + ... + T_(k-1)] = T_2 + ... + T_k), so S generates
+    a proper subalgebra, and G is every index.
+
+    Three facts about a generating set G let every consumer use G as is.
+    - C^k is spanned by the right-nested brackets of at least k elements of
+      G, so C^(k+1) = [G, C^k] (Jacobson, Lie Algebras, ch. I; Bourbaki,
+      Lie Groups and Lie Algebras, ch. I, section 1): `lower_central_series`.
+    - The centralizer of G is the centralizer of the subalgebra G
+      generates, so Z(L) = C_L(G): `center`.
+    - For a linear D, the x with D[x, y] = [Dx, y] + [x, Dy] for every y
+      form a subalgebra (by the Jacobi identity), so D is a derivation once
+      that set holds G: `_derivation_rows`.
     """
     n = L.dim
     leads = {min(row) for row in derived_subalgebra(L)._rows}
     generators = tuple(c for c in range(n) if c not in leads)
-    kept = set(generators)
-    adj_s = tuple(tuple(t for t in row if t[0] in kept) for row in L._adj)
-    series = _descending_series(
-        L,
-        lambda term: Subspace._from_rows(
-            [p for v in term._rows for p in L._brackets_with(v, adj_s).values()], n
-        ),
-    )
-    certified = _certifies(L, series)
-    if not certified:
-        full = Subspace.full(n)
-        series = _descending_series(L, lambda term: bracket_subspaces(L, full, term))
-    return _GeneratedSeries(generators, series, certified)
+    adj = _adj_from(L, generators)
+    term = total = Subspace._from_rows([{s: 1} for s in generators], n)
+    while total.dim < n:
+        term = _span_of_brackets(L, adj, term._rows)
+        grown = Subspace._from_rows([*total._rows, *term._rows], n)
+        if grown.dim == total.dim:
+            return tuple(range(n))
+        total = grown
+    return generators
 
 
+@_per_algebra
 def lower_central_series(L: LieAlgebra) -> SeriesReport:
     """C^(i+1) = [L, C^(i)], starting from the whole algebra.
 
-    Built from the generators S of L (the basis indices that are not leads of
-    [L, L]) as K^(k+1) = [S, K^k], which is always inside C^k.  A
-    certificate proves K^k = C^k for every k: [L, W_k] lies in K^(k+1) for
-    the rows W_k of K^k whose leads are not leads of K^(k+1), and [L, K^N]
-    lies in K^N when the series stops at a nonzero K^N (see
-    `_generated_series`).  Where the certificate fails, as on so(3),
-    [L, C^k] is computed directly.  Either way the terms are the canonical
-    C^k.
+    Each step forms only C^(k+1) = [G, C^k] for the generating set G of
+    `_generators`, the brackets with G of each canonical row of C^k.
     """
-    return _generated_series(L).series
+    adj = _adj_from(L, _generators(L))
+    return _descending_series(L, lambda term: _span_of_brackets(L, adj, term._rows))
 
 
 def derived_series(L: LieAlgebra) -> SeriesReport:
@@ -567,14 +521,10 @@ def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
     The unknown D_rc sits at r*n+c.  Every unknown in the equation of the pair
     (i, j) and output component s has torus weight w_s - w_i - w_j (see
     `_torus_weights`), so only the equations with w_s = w_i + w_j are built:
-    they involve exactly the unknowns D_rc with w_r = w_c.  With no nonzero
-    weight this is the whole system, and one more lemma cuts it when its
-    guard holds: if the certified series of `_generated_series` reaches 0,
-    the generators S generate L, and only the pairs (i, j) with i or j in S
-    are built.  The kernel is the same, because by the Jacobi identity the x
-    with D[x, y] = [Dx, y] + [x, Dy] for every y form a subalgebra: the
-    equations on S put S in it, and S generates L.  Without the guard (so(3)
-    has [L, L] = L and no generator at all) every pair is built.  The
+    they involve exactly the unknowns D_rc with w_r = w_c.  Only the pairs
+    (i, j) with i or j in the generating set G of `_generators` are built:
+    the x with D[x, y] = [Dx, y] + [x, Dy] for every y form a subalgebra,
+    so the equations on G give the same kernel.  The
     structure constants enter scaled by `L._den`, as `L._adj` holds them;
     every equation is linear in them, so the kernel is unchanged and all
     rows are integral.  Rows come per pair (i, j) in lex order, then per
@@ -588,14 +538,11 @@ def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
     # class_of[s] is the very list classes[w_s], so `class_of[s] is outputs`
     # tests w_s = w_i + w_j without comparing tuples.
     class_of = [classes[w] for w in weights]
-    pairs: Iterator[tuple[int, int]] = combinations(range(n), 2)
-    if not any(map(any, weights)):
-        generated = _generated_series(L)
-        if generated.generates:
-            generators = set(generated.generators)
-            pairs = ((i, j) for i, j in pairs if i in generators or j in generators)
+    generators = set(_generators(L))
     rows: list[dict[int, int]] = []
-    for i, j in pairs:
+    for i, j in combinations(range(n), 2):
+        if i not in generators and j not in generators:
+            continue
         outputs = classes.get(tuple(map(add, weights[i], weights[j])))
         if outputs is None:
             continue
@@ -737,9 +684,10 @@ def _rank_bound(L: LieAlgebra, series: SeriesReport, center_dim: int) -> tuple[i
 def characteristic_sequence(L: LieAlgebra) -> CharacteristicSequence:
     """Lexicographically maximal Jordan type of ad(X) over X outside [L, L].
 
-    The candidates are one generic (prime-weighted) combination of the
-    coordinate complement vectors of [L, L], then each complement vector; the
-    first candidate whose ranks attain the bound u below ends the search.
+    The candidates are one generic (prime-weighted) combination of the unit
+    vectors of `_generators`, which span a complement of [L, L] on a
+    nilpotent L, then each of those vectors; the first candidate whose ranks
+    attain the bound u below ends the search.
 
     The bound.  For every x in L, r_k = rank ad(x)^k satisfies
     - r_k <= dim C^k, since ad(x)^k maps L into the lower central series
@@ -765,8 +713,7 @@ def characteristic_sequence(L: LieAlgebra) -> CharacteristicSequence:
     if n == 0:
         return CharacteristicSequence((), (), True)
     bound = _rank_bound(L, series, center(L).dim)
-    pivot_cols = {min(row) for row in derived_subalgebra(L)._rows}
-    complement = [c for c in range(n) if c not in pivot_cols]
+    complement = _generators(L)
     generic = [0] * n
     for weight, c in zip(_primes(len(complement)), complement):
         generic[c] = weight

@@ -8,10 +8,11 @@ brackets, a matrix is tested as a derivation on every basis pair through
 that table, exponent vectors come from plain integer forward substitution,
 the Jacobi sum is swept over every basis triple from the Fraction fibers of
 the tensor, and a reduced row echelon form comes from textbook Gauss-Jordan
-on dense Fraction rows.  The lower central series, the derived algebra and
-the center are spanned or solved from the same table and reduced by that
-Gauss-Jordan.  Nothing is imported from the package: an algebra is read
-only through `L.dim`, `L.entries()` and the public bracket.
+on dense Fraction rows.  The lower central series, the derived algebra, the
+center and the subalgebra generated by some basis vectors are spanned or
+solved from the same table and reduced by that Gauss-Jordan.  Nothing is
+imported from the package: an algebra is read only through `L.dim`,
+`L.entries()` and the public bracket.
 """
 
 from __future__ import annotations
@@ -270,6 +271,33 @@ def lower_central_series_by_brackets(brackets) -> tuple[tuple[tuple[Fraction, ..
         terms.append(nxt)
         term = nxt
     return tuple(terms)
+
+
+def generated_subalgebra_by_brackets(brackets, indices) -> tuple[tuple[Fraction, ...], ...]:
+    """The subalgebra generated by the X_i with i in `indices`, as a reduced row echelon basis.
+
+    `brackets` is `_unit_brackets(L)`.  Starting from the span of those basis
+    vectors, the bracket [u, v] = sum_a u_a [X_a, v] of every two basis rows
+    is added and the span reduced by textbook Gauss-Jordan, until the span
+    stops growing (or is everything): it is then closed under the bracket.
+    """
+    n = len(brackets)
+    span = _rref_basis([[Fraction(int(c == i)) for c in range(n)] for i in indices], n)
+    while len(span) < n:
+        products = []
+        for u, v in combinations(span, 2):
+            out = [Fraction(0)] * n
+            for a, ua in enumerate(u):
+                if ua:
+                    for s, w in enumerate(_bracket_vector(brackets, a, v)):
+                        if w:
+                            out[s] += ua * w
+            products.append(out)
+        grown = _rref_basis([*span, *products], n)
+        if grown == span:
+            break
+        span = grown
+    return span
 
 
 def derived_algebra_by_brackets(brackets) -> tuple[tuple[Fraction, ...], ...]:

@@ -12,7 +12,7 @@ from liecontract.algebra import (
     NotNilpotentError,
     _derivation_rows,
     _descending_series,
-    _generated_series,
+    _generators,
     _jordan_blocks,
     betti1,
     bracket_subspaces,
@@ -49,6 +49,7 @@ from oracles import (
     derivation_by_brackets,
     derivation_nullity_bruteforce,
     derived_algebra_by_brackets,
+    generated_subalgebra_by_brackets,
     in_basis,
     jordan_type_by_powers,
     lower_central_series_by_brackets,
@@ -239,23 +240,37 @@ def dense(L, seed):
     return from_json_dict(in_basis(to_json_dict(L), random_basis(L.dim, seed)))
 
 
+def complement_of_derived(L):
+    """S: the basis indices that are not pivots of the oracle's echelon form of [L, L]."""
+    pivots = {next(c for c, x in enumerate(row) if x) for row in derived_algebra_by_brackets(_unit_brackets(L))}
+    return tuple(c for c in range(L.dim) if c not in pivots)
+
+
 def assert_subspace_invariants_match_the_oracles(L):
     brackets = _unit_brackets(L)
     assert tuple(t.basis for t in lower_central_series(L).terms) == lower_central_series_by_brackets(brackets)
     assert center(L).basis == center_by_brackets(brackets)
     assert derived_subalgebra(L).basis == derived_algebra_by_brackets(brackets)
+    # _generators returns S or every index, and what it returns generates L;
+    # every index only when the subalgebra S generates is proper.
+    generators, S = _generators(L), complement_of_derived(L)
+    assert generators in (S, tuple(range(L.dim)))
+    assert len(generated_subalgebra_by_brackets(brackets, generators)) == L.dim
+    if generators != S:
+        assert len(generated_subalgebra_by_brackets(brackets, S)) < L.dim
 
 
 @pytest.mark.parametrize("m", range(4, 11))
 def test_series_center_and_derived_algebra_match_the_oracles_on_the_grid(m):
     # 168 gm(q..) with m = 4..10 and k <= 2, and their extensions rm(q..).
     for q in [()] + list(all_q_lists(m, 2)):
-        g = make_g_m_q(m, q)
+        g, r = make_g_m_q(m, q), build_r_m(m, q)
         assert_subspace_invariants_match_the_oracles(g)
-        assert_subspace_invariants_match_the_oracles(build_r_m(m, q))
-        # Every gm(q..) takes the certified series and the Leibniz equations on
-        # its generators only.
-        assert _generated_series(g).generates, (m, q)
+        assert_subspace_invariants_match_the_oracles(r)
+        # S generates every gm(q..).  S of an rm(q..) is its torus, which
+        # generates only itself, so rm(q..) takes every index.
+        assert _generators(g) == complement_of_derived(g), (m, q)
+        assert _generators(r) == tuple(range(r.dim)), (m, q)
         if m <= 7:
             assert derivations(g).dim == derivation_nullity_bruteforce(g), (m, q)
 
@@ -265,7 +280,7 @@ def test_series_center_derived_algebra_and_derivations_in_a_dense_basis(seed):
     L = dense(make_g_m_q(4, (4,)), seed)
     assert L._den > 1 and len(L._tensor) > 30
     assert_subspace_invariants_match_the_oracles(L)
-    assert _generated_series(L).generates
+    assert _generators(L) == complement_of_derived(L)
     # dim Der does not depend on the basis: it is the 22 of the adapted g4(4),
     # which the brute-force count confirms there.
     assert derivations(L).dim == 22
@@ -273,17 +288,21 @@ def test_series_center_derived_algebra_and_derivations_in_a_dense_basis(seed):
 
 # [X1,X2] = X3, [X2,X3] = X1, [X3,X1] = X2: [L, L] = L, and no ad(X_a) is diagonal.
 SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
+# [X1,X2] = X3, [X1,X3] = X3: S = (X1, X2) generates it, but it is not
+# nilpotent, and no ad(X_a) is diagonal.
+SOLV3 = {(0, 1): {2: 1}, (0, 2): {2: 1}}
 
 
 @pytest.mark.parametrize(
     "name, series, center_dim, der_dim",
-    [("so3", (3,), 0, 3), ("so3+C", (4, 3), 1, 4), ("dense rm4(4)", (12, 9), 0, 12)],
+    [("so3", (3,), 0, 3), ("so3+C", (4, 3), 1, 4), ("dense rm4(4)", (12, 9), 0, 12), ("solv3", (3, 1), 1, 4)],
 )
-def test_algebras_outside_the_guards_take_the_full_systems(name, series, center_dim, der_dim):
+def test_non_nilpotent_and_perfect_algebras_match_the_oracles(name, series, center_dim, der_dim):
     L = {
         "so3": LieAlgebra(3, SO3),
         "so3+C": LieAlgebra(4, SO3),
         "dense rm4(4)": dense(build_r_m(4, (4,)), 1),
+        "solv3": LieAlgebra(3, SOLV3),
     }[name]
     assert lower_central_series(L).dims == series
     assert center(L).dim == center_dim
@@ -291,12 +310,10 @@ def test_algebras_outside_the_guards_take_the_full_systems(name, series, center_
     assert derivations(L).dim == der_dim
     if name != "dense rm4(4)":  # the brute-force count takes a minute on its dense rows
         assert derivation_nullity_bruteforce(L) == der_dim
-    generated = _generated_series(L)
-    # so(3) and so(3) + C fail the certificate and take the [L, C^k] series.
-    # The dense rm4(4) passes it (its series is certified equal to C^k), but
-    # is not nilpotent, so its generators need not generate it.
-    assert generated.certified == (name == "dense rm4(4)")
-    assert not generated.generates
+    # S is empty on so(3) and the C alone on so(3) + C, so both take every
+    # index; S generates the other two, which are not nilpotent either.
+    expected = complement_of_derived(L) if name in ("dense rm4(4)", "solv3") else tuple(range(L.dim))
+    assert _generators(L) == expected
 
 
 # --- derivations -------------------------------------------------------------
