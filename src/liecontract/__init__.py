@@ -11,7 +11,6 @@ from .algebra import (
     JacobiViolationError,
     LieAlgebra,
     MalformedAlgebraError,
-    MaurerCartanForm,
     NotNilpotentError,
     SeriesReport,
     betti1,
@@ -23,8 +22,8 @@ from .algebra import (
     derivations,
     derived_series,
     derived_subalgebra,
+    from_brackets,
     from_json_dict,
-    from_maurer_cartan,
     has_abelian_direct_factor,
     is_derivation,
     is_nilpotent,

@@ -32,17 +32,20 @@ class NotNilpotentError(ValueError):
     """Raised when an invariant defined only for nilpotent algebras is requested."""
 
 
-class JacobiViolationError(ValueError):
-    """Raised by constructors that would emit a tensor violating the Jacobi identity."""
+class MalformedAlgebraError(ValueError):
+    """A JSON algebra document is malformed, or a bracket table is not a Lie law."""
+
+
+class JacobiViolationError(MalformedAlgebraError):
+    """A bracket table that breaks the Jacobi identity; the message names the first failing triple, 1-based."""
 
     def __init__(self, report: "JacobiReport"):
         self.report = report
-        first = report.violations[0] if report.violations else None
-        super().__init__(f"Jacobi identity fails, first violation at {first}")
-
-
-class MalformedAlgebraError(ValueError):
-    """A JSON algebra document is malformed or its tensor is not a Lie law."""
+        i, j, l, s, residual = report.violations[0]
+        super().__init__(
+            f"Jacobi identity fails on the basis triple ({i + 1}, {j + 1}, {l + 1}): "
+            f"component {s + 1} of the Jacobi sum is {residual}"
+        )
 
 
 def _default_labels(dim: int) -> tuple[str, ...]:
@@ -195,33 +198,18 @@ def _per_algebra(compute):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MaurerCartanForm:
-    """Collection of two-forms dw_k = sum c * w_i ^ w_j (i < j), 0-based indices."""
+def from_brackets(
+    dim: int,
+    tensor: Mapping[tuple[int, int], Mapping[int, object]],
+    basis_labels: Sequence[str] | None = None,
+) -> LieAlgebra:
+    """The LieAlgebra of a bracket table {(i, j): {k: C^k_ij}} (0-based, i < j), checked once.
 
-    dim: int
-    two_forms: Mapping[int, Sequence[tuple[int, int, object]]]
-
-    def __post_init__(self):
-        for k, terms in self.two_forms.items():
-            if not 0 <= k < self.dim:
-                raise DimensionError(f"two-form index {k} out of range")
-            for (i, j, _) in terms:
-                if not (0 <= i < j < self.dim):
-                    raise DimensionError(f"bad wedge pair ({i}, {j}) in dw_{k}")
-
-
-def from_maurer_cartan(form: MaurerCartanForm) -> LieAlgebra:
-    """Dualize two-forms to a bracket: c * w_i ^ w_j in dw_k means C^k_ij = c.
-
-    Raises JacobiViolationError when the resulting tensor is not a Lie law.
+    `LieAlgebra` rejects an index out of range with DimensionError; a table
+    that breaks the Jacobi identity raises JacobiViolationError.  The report
+    of `check_jacobi` stays in the algebra's memo.
     """
-    tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for k, terms in form.two_forms.items():
-        for (i, j, c) in terms:
-            fiber = tensor.setdefault((i, j), {})
-            fiber[k] = fiber.get(k, _ZERO) + Fraction(c)
-    algebra = LieAlgebra(form.dim, tensor)
+    algebra = LieAlgebra(dim, tensor, basis_labels)
     report = check_jacobi(algebra)
     if not report.ok:
         raise JacobiViolationError(report)
@@ -796,10 +784,11 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
     anything is built), an index out of range, a repeated
     (i, j) pair, a 'coeffs' key not in the form to_json_dict writes (a
     string of ASCII digits with no leading zero and no more digits than
-    str(dim), so "03", "+3", " 3", "1_2" and the int 3 are all rejected),
-    an unparseable coefficient, or a tensor that breaks the Jacobi identity
-    (the message names the first failing triple).  Each target index has
-    one spelling, so distinct keys name distinct targets.
+    str(dim), so "03", "+3", " 3", "1_2" and the int 3 are all rejected)
+    or an unparseable coefficient.  Each target index has one spelling, so
+    distinct keys name distinct targets.  The table is then built by
+    `from_brackets`, which raises JacobiViolationError, a
+    MalformedAlgebraError, when it breaks the Jacobi identity.
     """
     if not isinstance(data, Mapping):
         raise MalformedAlgebraError("algebra document must be a JSON object")
@@ -837,13 +826,5 @@ def from_json_dict(data: Mapping) -> LieAlgebra:
                 raise MalformedAlgebraError(f"{where}: bad target index {_brief(key)}")
             k = _json_index(int(key), f"{where}: target index", 1, dim)
             fiber[k - 1] = _json_coefficient(c, where)
-    algebra = LieAlgebra(dim, tensor, labels)
-    report = check_jacobi(algebra)
-    if not report.ok:
-        i, j, l, s, residual = report.violations[0]
-        raise MalformedAlgebraError(
-            f"Jacobi identity fails on the basis triple ({i + 1}, {j + 1}, {l + 1}): "
-            f"component {s + 1} of the Jacobi sum is {residual}"
-        )
-    return algebra
+    return from_brackets(dim, tensor, labels)
 

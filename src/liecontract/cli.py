@@ -176,6 +176,8 @@ def _json_int(literal: str) -> int:
 
 def _cmd_invariants(args) -> int:
     if args.input:
+        if (args.family, args.m, args.n, args.q) != (None,) * 4:
+            raise InvalidFamilyError("--in reads the whole algebra; it takes no --family, --m, --n or --q")
         with open(args.input, "r", encoding="utf-8") as handle:
             try:
                 payload = json.load(handle, object_pairs_hook=_unique_keys, parse_int=_json_int)

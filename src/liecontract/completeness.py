@@ -63,10 +63,10 @@ def semidirect_product(L: LieAlgebra, torus: Sequence[Sequence[Fraction]]) -> Li
     Torus coordinates come first in the product basis.  Raises ValueError when
     a generator has the wrong length or is not a derivation of L; this is
     where a torus enters, so its generators are checked here.  L itself must
-    be a Lie law, checked once where it entered (`from_maurer_cartan` or
-    `from_json_dict`).  The product is then Lie by construction: diagonal
-    derivations commute, and commuting derivations give a Lie semidirect
-    product, so its Jacobi identity is not swept again.
+    be a Lie law, checked once where it entered (`from_brackets`, which the
+    families and `from_json_dict` call).  The product is then Lie by
+    construction: diagonal derivations commute, and commuting derivations
+    give a Lie semidirect product, so its Jacobi identity is not swept again.
     """
     s = len(torus)
     n = L.dim

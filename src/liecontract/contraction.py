@@ -123,13 +123,14 @@ def limit_law(P: ParametricLaw) -> LieAlgebra:
     Raises DivergentLimitError naming the first divergent entry (1-based).
 
     P must come from `scale_law` applied to a Lie law that was checked once
-    where it entered (`from_maurer_cartan` or `from_json_dict`); the limit is
-    then Lie by construction and its Jacobi identity is not swept again.  For
-    each t the scaled law is isomorphic to the source, so each component of
-    its Jacobi residual, a sum of terms c1 c2 t^(e1 + e2), vanishes for every
-    t.  With no exponent positive, e1 + e2 = 0 forces e1 = e2 = 0, so the
-    constant term of that residual is exactly the Jacobi residual of the
-    exponent-0 entries kept here, and it vanishes too.
+    where it entered (`from_brackets`, which the families and `from_json_dict`
+    call); the limit is then Lie by construction and its Jacobi identity is
+    not swept again.  For each t the scaled law is isomorphic to the source,
+    so each component of its Jacobi residual, a sum of terms
+    c1 c2 t^(e1 + e2), vanishes for every t.  With no exponent positive,
+    e1 + e2 = 0 forces e1 = e2 = 0, so the constant term of that residual is
+    exactly the Jacobi residual of the exponent-0 entries kept here, and it
+    vanishes too.
     """
     tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
     for (i, j, k, c, e) in P.entries:

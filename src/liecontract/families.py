@@ -4,8 +4,9 @@ The central family is the chain-and-pairing algebra gm of dimension 2m+1:
 a length-(2m-1) adjoint chain under X1 together with alternating pairings
 [X_j, X_{2m+1-j}] = (-1)^j X_{2m+1}.  The gmq variants cut selected chain
 links; filiform, Heisenberg-plus-abelian and abelian algebras round out the
-comparison set.  Every constructor routes through the two-form dualization,
-so Jacobi is verified on construction.
+comparison set.  Every constructor writes its bracket table and builds it
+with `from_brackets`, so each law is checked for Jacobi once, where it enters,
+and each constructor checks the ranges of its own parameters.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import combinations
 
-from .algebra import LieAlgebra, MaurerCartanForm, from_maurer_cartan
+from .algebra import LieAlgebra, from_brackets
 
 FAMILY_NAMES = ("gm", "gmq", "filiform", "heisenberg", "abelian")
 
@@ -40,21 +41,12 @@ def deleted_chain_targets(m: int, q_list: tuple[int, ...]) -> set[int]:
     return deleted
 
 
-def _chain_and_pairing_form(m: int, deleted: set[int]) -> MaurerCartanForm:
-    # 1-based recipe: dw_{j+1} = w_1 ^ w_j for 2 <= j <= 2m-1 unless j+1 is cut;
-    # dw_{2m+1} = sum_{j=2}^{m} (-1)^j w_j ^ w_{2m+1-j}.  Stored 0-based.
-    dim = 2 * m + 1
-    two_forms: dict[int, list[tuple[int, int, int]]] = {}
-    for j in range(2, 2 * m):
-        target = j + 1
-        if target in deleted:
-            continue
-        two_forms.setdefault(target - 1, []).append((0, j - 1, 1))
-    pairing = []
-    for j in range(2, m + 1):
-        pairing.append((j - 1, 2 * m - j, (-1) ** j))
-    two_forms[2 * m] = pairing
-    return MaurerCartanForm(dim=dim, two_forms=two_forms)
+def _chain_and_pairing_law(m: int, deleted: set[int]) -> LieAlgebra:
+    # 1-based: [X1, X_j] = X_{j+1} for 2 <= j <= 2m-1 unless j+1 is cut, and
+    # [X_j, X_{2m+1-j}] = (-1)^j X_{2m+1} for 2 <= j <= m.  Stored 0-based.
+    tensor = {(0, j - 1): {j: 1} for j in range(2, 2 * m) if j + 1 not in deleted}
+    tensor.update({(j - 1, 2 * m - j): {2 * m: (-1) ** j} for j in range(2, m + 1)})
+    return from_brackets(2 * m + 1, tensor)
 
 
 def make_g_m(m: int) -> LieAlgebra:
@@ -73,15 +65,14 @@ def make_g_m_q(m: int, q_list: tuple[int, ...]) -> LieAlgebra:
         raise InvalidFamilyError("gm requires m >= 4")
     q_list = tuple(q_list)
     validate_q_list(m, q_list)
-    return from_maurer_cartan(_chain_and_pairing_form(m, deleted_chain_targets(m, q_list)))
+    return _chain_and_pairing_law(m, deleted_chain_targets(m, q_list))
 
 
 def make_model_filiform(n: int) -> LieAlgebra:
     """Single chain [X1, X_j] = X_{j+1} for 2 <= j <= n-1, nothing else."""
     if n < 3:
         raise InvalidFamilyError("filiform model requires n >= 3")
-    two_forms = {j: [(0, j - 1, 1)] for j in range(2, n)}
-    return from_maurer_cartan(MaurerCartanForm(dim=n, two_forms=two_forms))
+    return from_brackets(n, {(0, j - 1): {j: 1} for j in range(2, n)})
 
 
 def make_heisenberg_plus_abelian(m: int) -> LieAlgebra:
@@ -92,18 +83,23 @@ def make_heisenberg_plus_abelian(m: int) -> LieAlgebra:
     """
     if m < 2:
         raise InvalidFamilyError("heisenberg family requires m >= 2")
-    return from_maurer_cartan(_chain_and_pairing_form(m, set(range(3, 2 * m + 1))))
+    return _chain_and_pairing_law(m, set(range(3, 2 * m + 1)))
 
 
 def make_abelian(n: int) -> LieAlgebra:
     if n < 0:
         raise InvalidFamilyError("dimension must be nonnegative")
-    return from_maurer_cartan(MaurerCartanForm(dim=n, two_forms={}))
+    return from_brackets(n, {})
 
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """Validated recipe for one family member; build() constructs it."""
+    """Recipe for one family member; build() constructs it.
+
+    The recipe checks only which parameters its family takes (and that a
+    gmq recipe names at least one cut); the ranges of m, n and the cut list
+    are checked once, by the constructor that build() calls.
+    """
 
     family: str
     m: int | None = None
@@ -116,10 +112,6 @@ class FamilySpec:
         if self.family in ("gm", "gmq", "heisenberg"):
             if self.m is None:
                 raise InvalidFamilyError(f"family {self.family} needs m")
-            if self.family in ("gm", "gmq") and self.m < 4:
-                raise InvalidFamilyError("m must be at least 4")
-            if self.family == "heisenberg" and self.m < 2:
-                raise InvalidFamilyError("m must be at least 2")
             if self.n is not None:
                 raise InvalidFamilyError(f"family {self.family} takes no n")
         if self.family in ("filiform", "abelian"):
@@ -130,7 +122,6 @@ class FamilySpec:
         if self.family == "gmq":
             if not self.q_list:
                 raise InvalidFamilyError("q list must contain at least one entry")
-            validate_q_list(self.m, tuple(self.q_list))
         elif self.q_list:
             raise InvalidFamilyError(f"family {self.family} takes no q list")
 

@@ -5,7 +5,8 @@ computed by a right-to-left, bottom-up, non-normalizing eliminator, Jordan
 types come from the ranks of dense powers of ad(x), derivation systems are
 assembled by probing elementary matrices through the dense table of basis
 brackets, a matrix is tested as a derivation on every basis pair through
-that table, exponent vectors come from plain integer forward substitution,
+that table (and ranked exactly, or mod a prime to bound the nullity from
+above), exponent vectors come from plain integer forward substitution,
 the Jacobi sum is swept over every basis triple from the Fraction fibers of
 the tensor, and a reduced row echelon form comes from textbook Gauss-Jordan
 on dense Fraction rows.  The lower central series, the derived algebra, the
@@ -100,13 +101,13 @@ def jordan_type_by_powers(L, x) -> tuple[int, ...]:
     return tuple(sum(1 for a in at_least if a >= j) for j in range(1, max(at_least, default=0) + 1))
 
 
-def derivation_nullity_bruteforce(L) -> int:
-    """dim of the derivation algebra, from first principles.
+def _bruteforce_derivation_rows(L) -> list[dict[int, Fraction]]:
+    """The rows of the derivation system of L, from first principles.
 
     The coefficient of the unknown D_rc in the equation for the pair (i, j)
     is obtained by letting the elementary matrix E_rc (X_c -> X_r) play the
-    role of D in D[X_i,X_j] - [D X_i, X_j] - [X_i, D X_j]; only the public
-    bracket is used.  Nullity = n^2 - rank with the reverse eliminator above.
+    role of D in D[X_i,X_j] - [D X_i, X_j] - [X_i, D X_j]; only the brackets
+    of basis vectors are used.
     """
     n = L.dim
     brackets = _unit_brackets(L)
@@ -136,7 +137,52 @@ def derivation_nullity_bruteforce(L) -> int:
                 row = {col: val for col, val in per_s[s].items() if val}
                 if row:
                     rows.append(row)
-    return n * n - rank_reverse_elimination(rows)
+    return rows
+
+
+def derivation_nullity_bruteforce(L) -> int:
+    """dim of the derivation algebra: n^2 - rank of the brute-force rows, by the reverse eliminator above."""
+    return L.dim**2 - rank_reverse_elimination(_bruteforce_derivation_rows(L))
+
+
+def rank_mod_p(rows, ncols: int, p: int) -> int:
+    """Rank over the integers mod the prime p of rows {column: int}, by forward elimination on dense rows.
+
+    Each row is scanned left to right; a column held by a pivot row (which
+    is 1 there and 0 to its left) is cleared, and the first column that is
+    not makes the row a new pivot row.
+    """
+    pivots: dict[int, list[int]] = {}
+    for row in rows:
+        vec = [0] * ncols
+        for c, v in row.items():
+            vec[c] = v % p
+        for c in range(ncols):
+            if not vec[c]:
+                continue
+            pivot = pivots.get(c)
+            if pivot is None:
+                inverse = pow(vec[c], -1, p)
+                pivots[c] = [v * inverse % p for v in vec]
+                break
+            factor = vec[c]
+            vec = [(a - factor * b) % p for a, b in zip(vec, pivot)]
+    return len(pivots)
+
+
+def derivation_nullity_mod_p(L, p: int = 2**61 - 1) -> int:
+    """n^2 - rank mod p of the brute-force rows: an upper bound on dim Der(L).
+
+    Each Fraction entry is read mod p as numerator / denominator, which
+    needs p to divide no denominator (asserted).  Then every minor mod p is
+    the minor over Q read mod p, so rank_p <= rank_Q and the result is at
+    least the nullity over Q.
+    """
+    reduced = []
+    for row in _bruteforce_derivation_rows(L):
+        assert all(v.denominator % p for v in row.values()), f"{p} divides a denominator"
+        reduced.append({c: v.numerator * pow(v.denominator, -1, p) for c, v in row.items()})
+    return L.dim**2 - rank_mod_p(reduced, L.dim**2, p)
 
 
 def derivation_by_brackets(L, *matrices) -> bool:

@@ -8,7 +8,6 @@ from liecontract.algebra import (
     JacobiViolationError,
     LieAlgebra,
     MalformedAlgebraError,
-    MaurerCartanForm,
     NotNilpotentError,
     _derivation_rows,
     _descending_series,
@@ -23,8 +22,8 @@ from liecontract.algebra import (
     derivations,
     derived_series,
     derived_subalgebra,
+    from_brackets,
     from_json_dict,
-    from_maurer_cartan,
     has_abelian_direct_factor,
     is_derivation,
     is_nilpotent,
@@ -48,6 +47,7 @@ from oracles import (
     center_by_brackets,
     derivation_by_brackets,
     derivation_nullity_bruteforce,
+    derivation_nullity_mod_p,
     derived_algebra_by_brackets,
     generated_subalgebra_by_brackets,
     in_basis,
@@ -124,24 +124,36 @@ def test_jacobi_violation_is_located():
     assert report.violations == ((0, 1, 2, 2, Fraction(-1)),)
 
 
-def test_from_maurer_cartan_rejects_non_lie_forms():
-    form = MaurerCartanForm(dim=4, two_forms={2: [(0, 1, 1)], 0: [(0, 2, 1)]})
+# [X1,X2] = X3 and [X1,X3] = X1: not a Lie law (see the test above).
+NON_LIE = {(0, 1): {2: 1}, (0, 2): {0: 1}}
+
+
+def test_from_brackets_rejects_a_non_lie_table():
     with pytest.raises(JacobiViolationError) as excinfo:
-        from_maurer_cartan(form)
-    assert excinfo.value.report.violations
+        from_brackets(4, NON_LIE)
+    assert excinfo.value.report.violations == ((0, 1, 2, 2, Fraction(-1)),)
 
 
-def test_from_maurer_cartan_heisenberg():
-    form = MaurerCartanForm(dim=3, two_forms={2: [(0, 1, 1)]})
-    algebra = from_maurer_cartan(form)
-    assert algebra == make_model_filiform(3)
+def test_from_brackets_heisenberg():
+    assert from_brackets(3, {(0, 1): {2: 1}}) == make_model_filiform(3)
 
 
-def test_maurer_cartan_index_validation():
+def test_from_brackets_index_validation():
     with pytest.raises(DimensionError):
-        MaurerCartanForm(dim=3, two_forms={2: [(1, 1, 1)]})
+        from_brackets(3, {(1, 1): {2: 1}})
     with pytest.raises(DimensionError):
-        MaurerCartanForm(dim=3, two_forms={5: [(0, 1, 1)]})
+        from_brackets(3, {(0, 1): {5: 1}})
+
+
+def test_a_non_lie_law_is_rejected_alike_as_a_table_and_as_json():
+    doc = {"dim": 4, "brackets": [{"i": 1, "j": 2, "coeffs": {"3": "1"}}, {"i": 1, "j": 3, "coeffs": {"1": "1"}}]}
+    message = "Jacobi identity fails on the basis triple (1, 2, 3): component 3 of the Jacobi sum is -1"
+    errors = []
+    for build in (lambda: from_brackets(4, NON_LIE), lambda: from_json_dict(doc)):
+        with pytest.raises(JacobiViolationError) as excinfo:
+            build()
+        errors.append(excinfo.value)
+    assert all(isinstance(e, MalformedAlgebraError) and str(e) == message for e in errors)
 
 
 # --- center / centralizer ---------------------------------------------------
@@ -286,6 +298,20 @@ def test_series_center_derived_algebra_and_derivations_in_a_dense_basis(seed):
     assert derivations(L).dim == 22
 
 
+def assert_derivation_dim_is_proved(L):
+    """dim Der(L) = derivations(L).dim, bounded from both sides by the oracles alone.
+
+    From below: the basis matrices of derivations(L) are derivations on every
+    basis pair and independent.  From above: rank_p <= rank_Q, so the mod-p
+    nullity of the brute-force rows is at least dim Der.
+    """
+    n = L.dim
+    der = derivations(L)
+    assert derivation_by_brackets(L, *(Matrix([vec[r * n : (r + 1) * n] for r in range(n)]) for vec in der.basis))
+    assert rank_reverse_elimination([{c: v for c, v in enumerate(vec) if v} for vec in der.basis]) == der.dim
+    assert derivation_nullity_mod_p(L) == der.dim
+
+
 # [X1,X2] = X3, [X2,X3] = X1, [X3,X1] = X2: [L, L] = L, and no ad(X_a) is diagonal.
 SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
 # [X1,X2] = X3, [X1,X3] = X3: S = (X1, X2) generates it, but it is not
@@ -308,7 +334,8 @@ def test_non_nilpotent_and_perfect_algebras_match_the_oracles(name, series, cent
     assert center(L).dim == center_dim
     assert_subspace_invariants_match_the_oracles(L)
     assert derivations(L).dim == der_dim
-    if name != "dense rm4(4)":  # the brute-force count takes a minute on its dense rows
+    assert_derivation_dim_is_proved(L)
+    if name != "dense rm4(4)":  # the exact brute-force count takes a minute on its dense rows
         assert derivation_nullity_bruteforce(L) == der_dim
     # S is empty on so(3) and the C alone on so(3) + C, so both take every
     # index; S generates the other two, which are not nilpotent either.

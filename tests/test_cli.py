@@ -91,6 +91,16 @@ def test_invariants_need_a_source(capsys):
     assert "need --family or --in" in capsys.readouterr().err
 
 
+def test_invariants_in_takes_no_family_flags(tmp_path, capsys):
+    source = tmp_path / "g4.json"
+    assert run(["gen", "--family", "gm", "--m", "4", "-o", str(source)]) == 0
+    for flags in (["--family", "gmq", "--m", "9", "--q", "3"], ["--family", "gm"], ["--m", "5"], ["--n", "3"], ["--q", "3"]):
+        assert run(["invariants", "--in", str(source), *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --in reads the whole algebra; it takes no --family, --m, --n or --q\n"
+
+
 def test_invariants_missing_file(capsys):
     assert run(["invariants", "--in", "/nonexistent/algebra.json"]) == 2
     assert capsys.readouterr().err.startswith("error:")

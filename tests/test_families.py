@@ -171,10 +171,13 @@ def test_family_spec_validation():
         FamilySpec(family="nope", m=4)
     with pytest.raises(InvalidFamilyError):
         FamilySpec(family="gm")
-    with pytest.raises(InvalidFamilyError):
-        FamilySpec(family="gm", m=3)
-    with pytest.raises(InvalidFamilyError):
-        FamilySpec(family="gmq", m=4, q_list=(2,))
+    # Ranges are checked once, by the constructor that build() calls.
+    with pytest.raises(InvalidFamilyError, match="^gm requires m >= 4$"):
+        FamilySpec(family="gm", m=3).build()
+    with pytest.raises(InvalidFamilyError, match="^q must satisfy 3 ≤ q ≤ m\\+1$"):
+        FamilySpec(family="gmq", m=4, q_list=(2,)).build()
+    with pytest.raises(InvalidFamilyError, match="^heisenberg family requires m >= 2$"):
+        FamilySpec(family="heisenberg", m=1).build()
     with pytest.raises(InvalidFamilyError):
         FamilySpec(family="filiform")
     with pytest.raises(InvalidFamilyError):
