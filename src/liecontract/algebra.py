@@ -381,28 +381,57 @@ def _descending_series(L: LieAlgebra, step) -> SeriesReport:
     return SeriesReport(terms=tuple(terms), dims=dims, nilindex=nilindex)
 
 
-def _adj_from(L: LieAlgebra, indices: Sequence[int]) -> tuple[tuple[tuple[int, int, int], ...], ...]:
-    """`L._adj` filtered to the triples (r, s, c) with r in `indices`, for `_brackets_with`."""
+def _series_from(L: LieAlgebra, indices: Sequence[int]) -> SeriesReport:
+    """K^1 = L, K^(k+1) = [span{X_r : r in `indices`}, K^k].
+
+    Each product is formed by `_brackets_with` from `_adj` filtered to the
+    triples (r, s, c) with r in `indices`.
+    """
     kept = set(indices)
-    return tuple(tuple(t for t in row if t[0] in kept) for row in L._adj)
-
-
-def _span_of_brackets(L: LieAlgebra, adj, rows: Sequence[dict[int, int]]) -> Subspace:
-    """span{[X_r, v] : v in `rows`} over the indices r that `adj` keeps (see `_adj_from`)."""
-    return Subspace._from_rows([p for v in rows for p in L._brackets_with(v, adj).values()], L.dim)
+    adj = tuple(tuple(t for t in row if t[0] in kept) for row in L._adj)
+    return _descending_series(
+        L, lambda term: Subspace._from_rows([p for v in term._rows for p in L._brackets_with(v, adj).values()], L.dim)
+    )
 
 
 @_per_algebra
-def _generators(L: LieAlgebra) -> tuple[int, ...]:
-    """A set G of basis indices whose unit vectors generate L.
+def _generators_and_series(L: LieAlgebra) -> tuple[tuple[int, ...], SeriesReport | None]:
+    """(G, K): the generating set of `_generators`, and its series K when G is S, else None."""
+    every = tuple(range(L.dim))
+    if any(map(any, _torus_weights(L))):
+        return every, None
+    derived = derived_subalgebra(L)
+    leads = {min(row) for row in derived._rows}
+    generators = tuple(c for c in every if c not in leads)
+    series = _series_from(L, generators)
+    # dims is (0,) when n = 0, and that series reaches 0 as well.
+    if series.nilindex is not None and (*series.dims, 0)[1] == derived.dim:
+        return generators, series
+    return every, None
 
-    Let S be the basis indices that are not leads of [L, L]; their unit
-    vectors span a complement of [L, L].  The subalgebra that S generates is
-    the sum of T_1 = span{X_s : s in S} and T_(k+1) = [S, T_k], the spans of
-    the right-nested brackets of k elements of S.  If the sum reaches L, G
-    is S.  If some T_k adds nothing to the sum, no later one does (T_(k+1)
-    then lies in [S, T_1 + ... + T_(k-1)] = T_2 + ... + T_k), so S generates
-    a proper subalgebra, and G is every index.
+
+def _generators(L: LieAlgebra) -> tuple[int, ...]:
+    """A set G of basis indices whose unit vectors generate L: S on a nilpotent L, else every index.
+
+    When some basis index has a nonzero weight in `_torus_weights`, ad(X_a)
+    is diagonal and nonzero, so not nilpotent, while every ad(x) of a
+    nilpotent L is (ad(x)^k maps L into C^(k+1); Engel's theorem is the
+    converse).  So L is not nilpotent, G is every index, and no [L, L] is
+    built.  Otherwise
+    let S be the basis indices that are not leads of [L, L], so that
+    L = span{X_s : s in S} + [L, L], and put K^1 = L, K^(k+1) = [S, K^k].
+    G is S exactly when K reaches 0 and dim K^2 = dim [L, L], else every
+    index.  The proof: K^2 lies in [L, L], so the dimensions give
+    K^2 = [L, L].  Let T_k be the span of the right-nested brackets of k
+    elements of S.  Then K^1 = T_1 + K^2, and K^k in T_k + K^(k+1) gives
+    K^(k+1) = [S, K^k] in [S, T_k] + [S, K^(k+1)] = T_(k+1) + K^(k+2).  So
+    a zero K^(N+1) puts L in T_1 + ... + T_N, inside the subalgebra that S
+    generates: S generates L, K is the lower central series by the first
+    fact below, and L is nilpotent.  Conversely a complement of [L, L]
+    generates every nilpotent L (Bourbaki, Lie Groups and Lie Algebras,
+    ch. I, section 4; Jacobson, Lie Algebras, ch. I), so K is then its lower
+    central series, which reaches 0 with K^2 = [L, L]: every nilpotent L
+    takes S.
 
     Three facts about a generating set G let every consumer use G as is.
     - C^k is spanned by the right-nested brackets of at least k elements of
@@ -414,29 +443,20 @@ def _generators(L: LieAlgebra) -> tuple[int, ...]:
       form a subalgebra (by the Jacobi identity), so D is a derivation once
       that set holds G: `_derivation_rows`.
     """
-    n = L.dim
-    leads = {min(row) for row in derived_subalgebra(L)._rows}
-    generators = tuple(c for c in range(n) if c not in leads)
-    adj = _adj_from(L, generators)
-    term = total = Subspace._from_rows([{s: 1} for s in generators], n)
-    while total.dim < n:
-        term = _span_of_brackets(L, adj, term._rows)
-        grown = Subspace._from_rows([*total._rows, *term._rows], n)
-        if grown.dim == total.dim:
-            return tuple(range(n))
-        total = grown
-    return generators
+    return _generators_and_series(L)[0]
 
 
 @_per_algebra
 def lower_central_series(L: LieAlgebra) -> SeriesReport:
     """C^(i+1) = [L, C^(i)], starting from the whole algebra.
 
-    Each step forms only C^(k+1) = [G, C^k] for the generating set G of
-    `_generators`, the brackets with G of each canonical row of C^k.
+    When G of `_generators` is S, the series K that proved it is this
+    series and is returned as is.  Otherwise G is every index and each step
+    forms C^(k+1) = [L, C^k], the brackets with every X_r of each canonical
+    row of C^k.
     """
-    adj = _adj_from(L, _generators(L))
-    return _descending_series(L, lambda term: _span_of_brackets(L, adj, term._rows))
+    generators, series = _generators_and_series(L)
+    return _series_from(L, generators) if series is None else series
 
 
 def derived_series(L: LieAlgebra) -> SeriesReport:

@@ -16,7 +16,7 @@ from typing import Sequence
 from . import completeness
 from .algebra import LieAlgebra, center, derivations, derived_subalgebra
 from .exactlin import DimensionError
-from .families import InvalidFamilyError, deleted_chain_targets, validate_q_list
+from .families import deleted_chain_targets, validate_q_list
 
 
 class DivergentLimitError(ValueError):
@@ -67,8 +67,6 @@ def _exponents_at(affine: list[tuple[int, int, int]], n1: int, n2: int) -> tuple
 
 def _cut_solution(m: int, q_list: Sequence[int]) -> list[tuple[int, int, int]]:
     """The affine exponent triples of the chain system that reaches g_m(q..)."""
-    if m < 4:
-        raise InvalidFamilyError("chain system requires m >= 4")
     q_list = tuple(q_list)
     validate_q_list(m, q_list)
     return _affine_solution(m, deleted_chain_targets(m, q_list))
@@ -149,8 +147,7 @@ def heisenberg_exponents(m: int) -> tuple[int, ...]:
     Every chain bracket is scheduled for deletion (cut targets 3..2m-1 plus an
     extra -1 equation at 2m), so only the pairing brackets survive.
     """
-    if m < 4:
-        raise InvalidFamilyError("chain system requires m >= 4")
+    validate_q_list(m, ())
     targets = set(range(3, 2 * m + 1))
     return _exponents_at(_affine_solution(m, targets), 1, 1)
 

@@ -24,7 +24,9 @@ class InvalidFamilyError(ValueError):
 
 
 def validate_q_list(m: int, q_list: tuple[int, ...]) -> None:
-    """Check a cut list; the empty list, no cut, is valid and names gm."""
+    """Check m and a cut list of gm; the empty list, no cut, is valid and names gm."""
+    if m < 4:
+        raise InvalidFamilyError("gm requires m >= 4")
     if list(q_list) != sorted(set(q_list)):
         raise InvalidFamilyError("q list must be strictly increasing")
     for q in q_list:
@@ -61,8 +63,6 @@ def make_g_m_q(m: int, q_list: tuple[int, ...]) -> LieAlgebra:
     brackets [X1, X_{j-1}] = X_j with j in the deleted set disappear.  The
     empty cut list removes nothing: `make_g_m_q(m, ())` is gm.
     """
-    if m < 4:
-        raise InvalidFamilyError("gm requires m >= 4")
     q_list = tuple(q_list)
     validate_q_list(m, q_list)
     return _chain_and_pairing_law(m, deleted_chain_targets(m, q_list))

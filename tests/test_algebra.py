@@ -260,16 +260,15 @@ def complement_of_derived(L):
 
 def assert_subspace_invariants_match_the_oracles(L):
     brackets = _unit_brackets(L)
-    assert tuple(t.basis for t in lower_central_series(L).terms) == lower_central_series_by_brackets(brackets)
+    series = lower_central_series_by_brackets(brackets)
+    assert tuple(t.basis for t in lower_central_series(L).terms) == series
     assert center(L).basis == center_by_brackets(brackets)
     assert derived_subalgebra(L).basis == derived_algebra_by_brackets(brackets)
-    # _generators returns S or every index, and what it returns generates L;
-    # every index only when the subalgebra S generates is proper.
-    generators, S = _generators(L), complement_of_derived(L)
-    assert generators in (S, tuple(range(L.dim)))
+    # _generators is S on a nilpotent L (the oracle series reaches 0) and
+    # every index otherwise, and what it returns generates L.
+    generators = _generators(L)
+    assert generators == (complement_of_derived(L) if not series[-1] else tuple(range(L.dim)))
     assert len(generated_subalgebra_by_brackets(brackets, generators)) == L.dim
-    if generators != S:
-        assert len(generated_subalgebra_by_brackets(brackets, S)) < L.dim
 
 
 @pytest.mark.parametrize("m", range(4, 11))
@@ -317,11 +316,21 @@ SO3 = {(0, 1): {2: 1}, (1, 2): {0: 1}, (0, 2): {1: -1}}
 # [X1,X2] = X3, [X1,X3] = X3: S = (X1, X2) generates it, but it is not
 # nilpotent, and no ad(X_a) is diagonal.
 SOLV3 = {(0, 1): {2: 1}, (0, 2): {2: 1}}
+# aff(1) in the basis (X1, X1 + X2): [Y1, Y2] = -Y1 + Y2.  No ad(Y_a) is
+# diagonal, S = (Y2) and dim [S, L] = dim [L, L] = 1, but [S, [S, L]] = [S, L]
+# never reaches 0, and Y2 alone generates only its own line.
+AFF1_SKEWED = {(0, 1): {0: -1, 1: 1}}
 
 
 @pytest.mark.parametrize(
     "name, series, center_dim, der_dim",
-    [("so3", (3,), 0, 3), ("so3+C", (4, 3), 1, 4), ("dense rm4(4)", (12, 9), 0, 12), ("solv3", (3, 1), 1, 4)],
+    [
+        ("so3", (3,), 0, 3),
+        ("so3+C", (4, 3), 1, 4),
+        ("dense rm4(4)", (12, 9), 0, 12),
+        ("solv3", (3, 1), 1, 4),
+        ("skewed aff(1)", (2, 1), 0, 2),
+    ],
 )
 def test_non_nilpotent_and_perfect_algebras_match_the_oracles(name, series, center_dim, der_dim):
     L = {
@@ -329,6 +338,7 @@ def test_non_nilpotent_and_perfect_algebras_match_the_oracles(name, series, cent
         "so3+C": LieAlgebra(4, SO3),
         "dense rm4(4)": dense(build_r_m(4, (4,)), 1),
         "solv3": LieAlgebra(3, SOLV3),
+        "skewed aff(1)": LieAlgebra(2, AFF1_SKEWED),
     }[name]
     assert lower_central_series(L).dims == series
     assert center(L).dim == center_dim
@@ -337,10 +347,21 @@ def test_non_nilpotent_and_perfect_algebras_match_the_oracles(name, series, cent
     assert_derivation_dim_is_proved(L)
     if name != "dense rm4(4)":  # the exact brute-force count takes a minute on its dense rows
         assert derivation_nullity_bruteforce(L) == der_dim
-    # S is empty on so(3) and the C alone on so(3) + C, so both take every
-    # index; S generates the other two, which are not nilpotent either.
-    expected = complement_of_derived(L) if name in ("dense rm4(4)", "solv3") else tuple(range(L.dim))
-    assert _generators(L) == expected
+    # None of them is nilpotent, so each takes every index, also the dense
+    # rm4(4) and solv3, which S generates.
+    assert _generators(L) == tuple(range(L.dim))
+
+
+@pytest.mark.parametrize("n, dims", [(0, (0,)), (3, (3, 0))])
+def test_abelian_algebras_take_every_index_as_s(n, dims):
+    # [L, L] = 0, so S is every index; the dim-0 series is (0,) and counts as reaching 0.
+    L = make_abelian(n)
+    assert lower_central_series(L).dims == dims
+    assert lower_central_series(L).nilindex == len(dims) - 1
+    assert _generators(L) == tuple(range(n))
+    assert center(L).dim == n
+    assert derivations(L).dim == n * n
+    assert_subspace_invariants_match_the_oracles(L)
 
 
 # --- derivations -------------------------------------------------------------

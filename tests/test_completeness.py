@@ -4,13 +4,16 @@ import pytest
 
 from liecontract.algebra import (
     LieAlgebra,
+    _generators,
     betti1,
     center,
     check_jacobi,
     derivations,
+    derived_subalgebra,
     is_derivation,
     is_nilpotent,
     is_solvable,
+    lower_central_series,
 )
 from liecontract.completeness import (
     build_r_m,
@@ -235,3 +238,14 @@ def test_centerless_extension_with_outer_derivations():
     assert (cert.algebra_dim, cert.center_dim, cert.der_dim) == (10, 0, 14)
     assert not cert.is_complete
     assert derivation_nullity_bruteforce(L) == 14
+
+
+@pytest.mark.parametrize("m, q", [(4, ()), (5, (3,)), (6, (4, 6)), (8, (3, 5))])
+def test_certifying_an_extension_builds_neither_its_derived_algebra_nor_its_series(m, q):
+    # The torus of rm(q..) has a nonzero weight, so its generating set is every
+    # index with no elimination, and center and derivations ask for nothing more.
+    rm = build_r_m(m, q)
+    assert is_complete(rm).is_complete
+    assert _generators(rm) == tuple(range(rm.dim))
+    assert derived_subalgebra.__wrapped__ not in rm._memo
+    assert lower_central_series.__wrapped__ not in rm._memo

@@ -70,9 +70,9 @@ def test_law_is_independent_of_the_parameters():
 
 
 def test_small_m_rejected():
-    with pytest.raises(InvalidFamilyError):
+    with pytest.raises(InvalidFamilyError, match="^gm requires m >= 4$"):
         solve_exponents(3)
-    with pytest.raises(InvalidFamilyError):
+    with pytest.raises(InvalidFamilyError, match="^gm requires m >= 4$"):
         heisenberg_exponents(3)
 
 
