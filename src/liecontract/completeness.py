@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .algebra import LieAlgebra, _per_algebra, center, derivations
-from .exactlin import Subspace, nullspace_of_rows
+from .exactlin import Subspace, _coerce, nullspace_of_rows
 from .families import make_g_m_q
 
 
@@ -47,11 +47,6 @@ def diagonal_rank(L: LieAlgebra) -> int:
     return weight_system(L).dim
 
 
-def _is_diagonal_derivation(L: LieAlgebra, w: Sequence[Fraction]) -> bool:
-    """diag(w) is a derivation iff w_i + w_j = w_k for every nonzero C^k_ij."""
-    return all(w[i] + w[j] == w[k] for (i, j, k, _) in L.entries())
-
-
 def max_torus(L: LieAlgebra) -> tuple[tuple[Fraction, ...], ...]:
     """Weight vectors of the torus generators: the canonical weight-system basis."""
     return weight_system(L).basis
@@ -62,24 +57,27 @@ def semidirect_product(L: LieAlgebra, torus: Sequence[Sequence[Fraction]]) -> Li
 
     Torus coordinates come first in the product basis.  Raises ValueError when
     a generator has the wrong length or is not a derivation of L; this is
-    where a torus enters, so its generators are checked here.  L itself must
-    be a Lie law, checked once where it entered (`from_brackets`, which the
-    families and `from_json_dict` call).  The product is then Lie by
-    construction: diagonal derivations commute, and commuting derivations
-    give a Lie semidirect product, so its Jacobi identity is not swept again.
+    where a torus enters, so its generators are checked here.  diag(w) is a
+    derivation iff w_i + w_j = w_k for every nonzero C^k_ij, the equations
+    `weight_system(L)` solves once per algebra, so a generator is checked by
+    membership in that solved space.  Each weight is read as `Fraction(v)`,
+    as `LieAlgebra` reads its structure constants.  L itself must be a Lie
+    law, checked once where it entered (`from_brackets`, which the families
+    and `from_json_dict` call).  The product is then Lie by construction:
+    diagonal derivations commute, and commuting derivations give a Lie
+    semidirect product, so its Jacobi identity is not swept again.
     """
     s = len(torus)
     n = L.dim
-    for w in torus:
-        if len(w) != n:
-            raise ValueError("torus generator length does not match algebra dimension")
-        if not _is_diagonal_derivation(L, w):
-            raise ValueError("torus generator is not a derivation of the algebra")
+    if any(len(w) != n for w in torus):
+        raise ValueError("torus generator length does not match algebra dimension")
+    rows = [{i: f for i, f in enumerate(map(_coerce, w)) if f} for w in torus]
+    if not Subspace._from_rows(rows, n).is_subset(weight_system(L)):
+        raise ValueError("torus generator is not a derivation of the algebra")
     tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
-    for a, w in enumerate(torus):
-        for i, value in enumerate(w):
-            if value:
-                tensor[(a, s + i)] = {s + i: value}
+    for a, row in enumerate(rows):
+        for i, value in row.items():
+            tensor[(a, s + i)] = {s + i: value}
     for (i, j, k, c) in L.entries():
         tensor.setdefault((s + i, s + j), {})[s + k] = c
     labels = tuple(f"H{a + 1}" for a in range(s)) + L.basis_labels

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from liecontract.algebra import LieAlgebra, MalformedAlgebraError, check_jacobi, from_json_dict, to_json_dict
 from liecontract.cli import run
 from liecontract.completeness import build_r_m
-from liecontract.families import FamilySpec, make_g_m_q
+from liecontract.families import FAMILY_NAMES, FamilySpec, make_g_m_q
 from oracles import in_basis, jacobi_violations_by_fibers
 
 
@@ -38,6 +38,15 @@ def test_gen_rejects_out_of_range_q(capsys):
 def test_gen_rejects_unparseable_q(capsys):
     assert run(["gen", "--family", "gmq", "--m", "4", "--q", "3,five"]) == 2
     assert "cannot parse q list" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["gen", "invariants"])
+def test_family_flag_offers_exactly_the_family_names(capsys, command):
+    with pytest.raises(SystemExit) as stop:
+        run([command, "--help"])
+    assert stop.value.code == 0
+    assert "--family {" + ",".join(FAMILY_NAMES) + "}" in out_of(capsys)
+    assert FAMILY_NAMES == ("gm", "gmq", "filiform", "heisenberg", "abelian")
 
 
 def test_invariants_text_panel(capsys):

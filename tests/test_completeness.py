@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from liecontract import algebra, cli
 from liecontract.algebra import (
     LieAlgebra,
     _generators,
@@ -135,6 +136,19 @@ def test_semidirect_rejects_non_derivations():
         semidirect_product(heis, ((Fraction(1), Fraction(0), Fraction(0)),))
     with pytest.raises(ValueError, match="length"):
         semidirect_product(heis, ((Fraction(1), Fraction(0)),))
+    # Every generator is checked, not only the first.
+    with pytest.raises(ValueError, match="not a derivation"):
+        semidirect_product(heis, ((Fraction(1), Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(0))))
+
+
+def test_integer_torus_builds_the_same_extension_as_its_fraction_form():
+    g = make_g_m_q(5, (3,))
+    torus = max_torus(g)
+    integral = tuple(tuple(int(v) for v in w) for w in torus)
+    assert integral == torus and any(v < 0 for w in integral for v in w)
+    extension = semidirect_product(g, integral)
+    assert extension == semidirect_product(g, torus)
+    assert extension.basis_labels == build_r_m(5, (3,)).basis_labels
 
 
 def test_extension_of_uncut_chain():
@@ -241,7 +255,7 @@ def test_centerless_extension_with_outer_derivations():
 
 
 @pytest.mark.parametrize("m, q", [(4, ()), (5, (3,)), (6, (4, 6)), (8, (3, 5))])
-def test_certifying_an_extension_builds_neither_its_derived_algebra_nor_its_series(m, q):
+def test_certifying_an_extension_builds_neither_its_derived_algebra_nor_its_series(m, q, monkeypatch):
     # The torus of rm(q..) has a nonzero weight, so its generating set is every
     # index with no elimination, and center and derivations ask for nothing more.
     rm = build_r_m(m, q)
@@ -249,3 +263,18 @@ def test_certifying_an_extension_builds_neither_its_derived_algebra_nor_its_seri
     assert _generators(rm) == tuple(range(rm.dim))
     assert derived_subalgebra.__wrapped__ not in rm._memo
     assert lower_central_series.__wrapped__ not in rm._memo
+    if not q:
+        return
+    # `check` reads "solvable" and "not nilpotent" off the construction too:
+    # it builds no derived series and no lower central series of the extension.
+    extensions = []
+    bracket_calls = []
+    product = cli.semidirect_product
+    bracket_subspaces = algebra.bracket_subspaces
+    monkeypatch.setattr(cli, "semidirect_product", lambda *a: extensions.append(product(*a)) or extensions[-1])
+    monkeypatch.setattr(algebra, "bracket_subspaces", lambda *a: bracket_calls.append(a) or bracket_subspaces(*a))
+    assert cli.run(["check", "--m", str(m), "--q", ",".join(map(str, q))]) == 0
+    assert len(extensions) == 1 and extensions[0] == rm
+    assert bracket_calls == []
+    assert derived_subalgebra.__wrapped__ not in extensions[0]._memo
+    assert lower_central_series.__wrapped__ not in extensions[0]._memo
