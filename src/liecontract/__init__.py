@@ -20,7 +20,6 @@ from .algebra import (
     characteristic_sequence,
     check_jacobi,
     derivations,
-    derived_series,
     derived_subalgebra,
     from_brackets,
     from_json_dict,

@@ -21,6 +21,7 @@ from .exactlin import (
     DimensionError,
     Matrix,
     Subspace,
+    _coerce,
     nullspace_of_rows,
     rank as matrix_rank,
 )
@@ -56,13 +57,16 @@ class LieAlgebra:
     """Structure-constant presentation of a finite-dimensional Lie algebra.
 
     `tensor` maps a pair (i, j) with i < j to {k: C^k_ij}; only nonzero
-    coefficients are kept.  Equality compares dimension and tensor (labels are
-    presentation only).  The denominators of the tensor are cleared here, once:
-    `_den` is their lcm, and `_adj[j]` lists the int triples (r, s, c * _den)
-    with [X_r, X_j] = c X_s.  `_adj` is the one sparse reading of the tensor
-    behind every bracket-driven invariant; spans and kernels do not change
-    when the bracket is scaled by `_den`, so their systems stay integral.
-    `_memo` holds the invariants computed once per algebra (see `_per_algebra`).
+    coefficients are kept.  The law is stored once, in integers: the
+    denominators are cleared here, `_den` is their lcm, and
+    `_tensor[(i, j)]` holds {k: C^k_ij * _den} as ints.  `_adj[j]` indexes
+    the same integers by the second factor: it lists the triples
+    (r, s, c * _den) with [X_r, X_j] = c X_s.  Spans and kernels do not
+    change when the bracket is scaled by `_den`, so every system built from
+    the brackets stays integral; `entries()` is the one reader that gives
+    the Fraction constants C^k_ij back.  Equality compares dimension, `_den`
+    and `_tensor` (labels are presentation only).  `_memo` holds the
+    invariants computed once per algebra (see `_per_algebra`).
     """
 
     __slots__ = ("dim", "basis_labels", "_tensor", "_adj", "_den", "_memo")
@@ -75,7 +79,7 @@ class LieAlgebra:
     ):
         if dim < 0:
             raise DimensionError("dimension must be nonnegative")
-        clean: dict[tuple[int, int], dict[int, Fraction]] = {}
+        clean: dict[tuple[int, int], dict[int, Fraction | int]] = {}
         for (i, j), fiber in tensor.items():
             if not (0 <= i < j < dim):
                 raise DimensionError(f"bad bracket pair ({i}, {j}) for dimension {dim}")
@@ -83,7 +87,7 @@ class LieAlgebra:
             for k, c in fiber.items():
                 if not 0 <= k < dim:
                     raise DimensionError(f"bad target index {k} for dimension {dim}")
-                val = c if type(c) is Fraction else Fraction(c)
+                val = _coerce(c)
                 if val:
                     entries[k] = val
             if entries:
@@ -95,7 +99,8 @@ class LieAlgebra:
         adj: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
         for (i, j), entries in clean.items():
             for k, c in entries.items():
-                scaled = c.numerator * (den // c.denominator)
+                # Each Fraction is replaced in place by the int c * den.
+                entries[k] = scaled = c.numerator * (den // c.denominator)
                 adj[j].append((i, k, scaled))
                 adj[i].append((j, k, -scaled))
         object.__setattr__(self, "dim", dim)
@@ -109,25 +114,23 @@ class LieAlgebra:
         raise AttributeError("LieAlgebra is immutable")
 
     def entries(self) -> Iterator[tuple[int, int, int, Fraction]]:
-        """All stored coefficients (i, j, k, C^k_ij) with i < j, in lex order."""
+        """All stored coefficients (i, j, k, C^k_ij) with i < j, in lex order, as Fractions."""
         for (i, j) in sorted(self._tensor):
             fiber = self._tensor[(i, j)]
             for k in sorted(fiber):
-                yield i, j, k, fiber[k]
+                yield i, j, k, Fraction(fiber[k], self._den)
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        """[x, y] in coordinates."""
+        """[x, y] = sum_r x_r [X_r, y] in coordinates, read from `_brackets_with(y)`."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionError("vector length does not match algebra dimension")
-        xs = [v if type(v) is Fraction else Fraction(v) for v in x]
-        ys = [v if type(v) is Fraction else Fraction(v) for v in y]
+        xs = [_coerce(v) for v in x]
+        ys = {j: v for j, v in enumerate(map(_coerce, y)) if v}
         out = [_ZERO] * self.dim
-        for (i, j), fiber in self._tensor.items():
-            coeff = xs[i] * ys[j] - xs[j] * ys[i]
-            if coeff:
-                for k, c in fiber.items():
-                    out[k] += coeff * c
-        return tuple(out)
+        for r, col in self._brackets_with(ys).items():
+            for s, c in col.items():
+                out[s] += xs[r] * c
+        return tuple(v / self._den for v in out)
 
     def _brackets_with(
         self, v: Mapping[int, int | Fraction], adj: Sequence[Sequence[tuple[int, int, int]]] | None = None
@@ -156,7 +159,7 @@ class LieAlgebra:
         n = self.dim
         if len(x) != n:
             raise DimensionError("vector length does not match algebra dimension")
-        xs = {j: v if type(v) is Fraction else Fraction(v) for j, v in enumerate(x) if v}
+        xs = {j: _coerce(v) for j, v in enumerate(x) if v}
         rows = [[_ZERO] * n for _ in range(n)]
         # Column r of ad(x) is [x, X_r] = -[X_r, x].
         for r, col in self._brackets_with(xs).items():
@@ -168,6 +171,7 @@ class LieAlgebra:
         return (
             isinstance(other, LieAlgebra)
             and self.dim == other.dim
+            and self._den == other._den
             and self._tensor == other._tensor
         )
 
@@ -232,25 +236,23 @@ class JacobiReport:
 def check_jacobi(L: LieAlgebra) -> JacobiReport:
     """Evaluate [[X_i,X_j],X_l] + [[X_j,X_l],X_i] + [[X_l,X_i],X_j] on all triples i < j < l.
 
-    The sums are taken in integers from `L._adj`, which holds the structure
-    constants times `_den`; every term is a product of two of them, so a
-    residual is reported as Fraction(sum, _den**2).  Only the triples with a
-    nonzero term are visited: a pair a < b with [X_a, X_b] holding X_k, and
-    a third index c with [X_k, X_c] != 0.
+    The sums are taken in integers from `L._tensor` and `L._adj`, which
+    hold the structure constants times `_den`; every term is a product of
+    two of them, so a residual is reported as Fraction(sum, _den**2).  Only
+    the triples with a nonzero term are visited: a stored pair a < b with
+    [X_a, X_b] holding X_k, and a third index c with [X_k, X_c] != 0.
     """
-    adj, n = L._adj, L.dim
+    n = L.dim
     # by_third[k][c] lists the (s, w) with [X_c, X_k] holding w X_s.
     by_third: list[dict[int, list[tuple[int, int]]]] = []
-    for row in adj:
+    for row in L._adj:
         terms: dict[int, list[tuple[int, int]]] = {}
         for (c, s, w) in row:
             terms.setdefault(c, []).append((s, w))
         by_third.append(terms)
     sums: dict[tuple[int, int, int], list[int]] = {}
-    for b, row in enumerate(adj):
-        for (a, k, c1) in row:
-            if a > b:
-                continue
+    for (a, b), fiber in L._tensor.items():
+        for k, c1 in fiber.items():
             # [X_a, X_b] holds c1 X_k, so [[X_a, X_b], X_c] holds -c1 w X_s for
             # each (s, w) in by_third[k][c]; (a, b) is the first, second or
             # (reversed, so with the sign flipped) third pair of the sorted triple.
@@ -459,17 +461,13 @@ def lower_central_series(L: LieAlgebra) -> SeriesReport:
     return _series_from(L, generators) if series is None else series
 
 
-def derived_series(L: LieAlgebra) -> SeriesReport:
-    """D^(i+1) = [D^(i), D^(i)], starting from the whole algebra."""
-    return _descending_series(L, lambda term: bracket_subspaces(L, term, term))
-
-
 def is_nilpotent(L: LieAlgebra) -> bool:
     return lower_central_series(L).nilindex is not None
 
 
 def is_solvable(L: LieAlgebra) -> bool:
-    return derived_series(L).nilindex is not None
+    """True iff the derived series D^(i+1) = [D^(i), D^(i)] reaches 0."""
+    return _descending_series(L, lambda term: bracket_subspaces(L, term, term)).nilindex is not None
 
 
 @_per_algebra
@@ -477,7 +475,7 @@ def derived_subalgebra(L: LieAlgebra) -> Subspace:
     """[L, L], the span of the [X_i, X_j]: one row per stored pair (i, j), read from the tensor.
 
     A pair that is not stored has [X_i, X_j] = 0, so the stored fibers span
-    [L, L]; the elimination core clears their denominators.
+    [L, L]; they hold the constants times `_den`, so the rows are integral.
     """
     return Subspace._from_rows(L._tensor.values(), L.dim)
 
@@ -533,12 +531,12 @@ def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
     (i, j) with i or j in the generating set G of `_generators` are built:
     the x with D[x, y] = [Dx, y] + [x, Dy] for every y form a subalgebra,
     so the equations on G give the same kernel.  The
-    structure constants enter scaled by `L._den`, as `L._adj` holds them;
-    every equation is linear in them, so the kernel is unchanged and all
-    rows are integral.  Rows come per pair (i, j) in lex order, then per
-    output component s.
+    structure constants enter scaled by `L._den`, as `L._tensor` and
+    `L._adj` hold them; every equation is linear in them, so the kernel is
+    unchanged and all rows are integral.  Rows come per pair (i, j) in lex
+    order, then per output component s.
     """
-    n, den, adj = L.dim, L._den, L._adj
+    n, adj = L.dim, L._adj
     weights = _torus_weights(L)
     classes: dict[tuple[int, ...], list[int]] = {}
     for s, w in enumerate(weights):
@@ -554,9 +552,8 @@ def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
         outputs = classes.get(tuple(map(add, weights[i], weights[j])))
         if outputs is None:
             continue
-        fiber = L._tensor.get((i, j), {})
-        terms = [(k, c.numerator * (den // c.denominator)) for k, c in fiber.items()]
-        per_s = {s: {s * n + k: c for k, c in terms} for s in outputs} if terms else {}
+        fiber = L._tensor.get((i, j))
+        per_s = {s: {s * n + k: c for k, c in fiber.items()} for s in outputs} if fiber else {}
         # Moved to the left, [DX_i, X_j] = sum_r D_ri [X_r, X_j] gives -c D_ri
         # for each (r, s, c) in adj[j], and [X_i, DX_j] = -sum_r D_rj [X_r, X_i]
         # gives +c D_rj for each (r, s, c) in adj[i].

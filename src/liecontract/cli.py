@@ -129,8 +129,10 @@ def _cmd_gen(args) -> int:
 def _invariant_data(algebra: LieAlgebra, label: str) -> dict:
     """The invariant panel of one algebra.
 
-    `rank` is the diagonal rank in the given basis: the torus rank for the
-    families' adapted bases, only a lower bound for an `--in` file.
+    `rank` is the diagonal rank in the given basis, a lower bound on the
+    torus rank; it is the torus rank when the torus weights of the basis
+    vectors are pairwise distinct, as on the families' adapted bases (see
+    `diagonal_rank`), and may be below it for an `--in` file.
     `char_seq` is exact when `char_seq_certified` is true and a lower bound
     otherwise; `char_seq_witness` is the X whose ad(X) attained it.
     """
@@ -352,7 +354,11 @@ def _cmd_check(args) -> int:
 
 
 def _table_row(m: int, q: tuple[int, ...]) -> dict:
-    """One table row; in the adapted basis `rank` is the torus rank."""
+    """One table row; `rank` is the torus rank.
+
+    The adapted basis gives the basis vectors pairwise distinct torus
+    weights, so the diagonal rank is the torus rank (see `diagonal_rank`).
+    """
     algebra = make_g_m_q(m, q)
     series = lower_central_series(algebra)
     torus = max_torus(algebra)

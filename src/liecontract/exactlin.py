@@ -16,10 +16,9 @@ eliminating the columns one at a time.  The same routine, over one column,
 clears a new lead from the older pivot rows.  A row may hold ints or
 Fractions: an integral row enters the core as it is, a rational one has its
 denominators cleared first.  The systems built from the brackets of a
-`LieAlgebra` are integral already, because the algebra clears the
-denominators of its structure tensor once; the derived algebra (spanned by
-the tensor's `Fraction` fibers) and the powers of ad(x) behind the
-characteristic sequence still enter as `Fraction` rows.  `Subspace` keeps
+`LieAlgebra` are integral already, because the algebra stores its structure
+tensor once, with the denominators cleared; only the powers of ad(x) behind
+the characteristic sequence still enter as `Fraction` rows.  `Subspace` keeps
 the core's reduced rows as integers; `Fraction`s are built only at the
 dense boundary: `Subspace.basis` divides each row by its lead, and `rank` /
 `solve` normalise their own pivots.

@@ -10,10 +10,10 @@ above), exponent vectors come from plain integer forward substitution,
 the Jacobi sum is swept over every basis triple from the Fraction fibers of
 the tensor, and a reduced row echelon form comes from textbook Gauss-Jordan
 on dense Fraction rows.  The lower central series, the derived algebra, the
-center and the subalgebra generated by some basis vectors are spanned or
-solved from the same table and reduced by that Gauss-Jordan.  Nothing is
-imported from the package: an algebra is read only through `L.dim`,
-`L.entries()` and the public bracket.
+derived series, the center and the subalgebra generated by some basis
+vectors are spanned or solved from the same table and reduced by that
+Gauss-Jordan.  Nothing is imported from the package: an algebra is read
+only through `L.dim`, `L.entries()` and the public bracket.
 """
 
 from __future__ import annotations
@@ -299,6 +299,17 @@ def _bracket_vector(brackets, a: int, v) -> list[Fraction]:
     return out
 
 
+def _bracket_of(brackets, u, v) -> list[Fraction]:
+    """[u, v] = sum_a u_a [X_a, v] by bilinearity over the brackets of basis vectors."""
+    out = [Fraction(0)] * len(v)
+    for a, ua in enumerate(u):
+        if ua:
+            for s, w in enumerate(_bracket_vector(brackets, a, v)):
+                if w:
+                    out[s] += ua * w
+    return out
+
+
 def lower_central_series_by_brackets(brackets) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
     """The terms C^1 = L, C^(k+1) = [L, C^k] as reduced row echelon bases, until 0 or a repeat.
 
@@ -330,20 +341,32 @@ def generated_subalgebra_by_brackets(brackets, indices) -> tuple[tuple[Fraction,
     n = len(brackets)
     span = _rref_basis([[Fraction(int(c == i)) for c in range(n)] for i in indices], n)
     while len(span) < n:
-        products = []
-        for u, v in combinations(span, 2):
-            out = [Fraction(0)] * n
-            for a, ua in enumerate(u):
-                if ua:
-                    for s, w in enumerate(_bracket_vector(brackets, a, v)):
-                        if w:
-                            out[s] += ua * w
-            products.append(out)
+        products = [_bracket_of(brackets, u, v) for u, v in combinations(span, 2)]
         grown = _rref_basis([*span, *products], n)
         if grown == span:
             break
         span = grown
     return span
+
+
+def derived_series_by_brackets(brackets) -> tuple[tuple[tuple[Fraction, ...], ...], ...]:
+    """The terms D^0 = L, D^(k+1) = [D^k, D^k] as reduced row echelon bases, until 0 or a repeat.
+
+    `brackets` is `_unit_brackets(L)`.  D^(k+1) is spanned by [u, v] for
+    every two basis rows u, v of D^k, each product expanded over the
+    brackets of basis vectors, and the span is reduced by textbook
+    Gauss-Jordan.  L is solvable iff the last term is ().
+    """
+    n = len(brackets)
+    term = _rref_basis([[Fraction(int(c == a)) for c in range(n)] for a in range(n)], n)
+    terms = [term]
+    while term:
+        nxt = _rref_basis([_bracket_of(brackets, u, v) for u, v in combinations(term, 2)], n)
+        if nxt == term:
+            break
+        terms.append(nxt)
+        term = nxt
+    return tuple(terms)
 
 
 def derived_algebra_by_brackets(brackets) -> tuple[tuple[Fraction, ...], ...]:

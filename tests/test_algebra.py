@@ -20,7 +20,6 @@ from liecontract.algebra import (
     characteristic_sequence,
     check_jacobi,
     derivations,
-    derived_series,
     derived_subalgebra,
     from_brackets,
     from_json_dict,
@@ -101,6 +100,32 @@ def test_structure_constant_signs(g4):
     assert g4.bracket(unit(9, 1), unit(9, 0))[2] == -1
     assert g4.bracket(unit(9, 2), unit(9, 5))[8] == -1
     assert g4.bracket(unit(9, 1), unit(9, 1))[0] == 0
+
+
+# --- the stored law --------------------------------------------------------
+
+
+def test_laws_that_differ_by_a_common_factor_are_unequal():
+    # Both store the integer 1 for [X1, X2] -> X3; only the cleared denominator differs.
+    half = from_brackets(3, {(0, 1): {2: Fraction(1, 2)}})
+    assert half != from_brackets(3, {(0, 1): {2: 1}})
+    assert half == LieAlgebra(3, {(0, 1): {2: "1/2"}})
+
+
+def test_a_law_with_denominators_reads_back_the_fractions_it_was_built_from():
+    document = in_basis(to_json_dict(make_g_m_q(4, (4,))), random_basis(9, 1))
+    tensor = {
+        (b["i"] - 1, b["j"] - 1): {int(k) - 1: Fraction(c) for k, c in b["coeffs"].items()}
+        for b in document["brackets"]
+    }
+    L = from_brackets(9, tensor)
+    assert L._den > 1
+    assert list(L.entries()) == [(i, j, k, tensor[i, j][k]) for (i, j) in sorted(tensor) for k in sorted(tensor[i, j])]
+    assert to_json_dict(L)["brackets"] == document["brackets"]
+    table = _unit_brackets(L)
+    for a in range(9):
+        for b in range(9):
+            assert L.bracket(unit(9, a), unit(9, b)) == table[a][b]
 
 
 # --- jacobi ----------------------------------------------------------------
@@ -230,7 +255,6 @@ def test_series_that_never_repeats_a_term_raises():
 def test_solvable_but_not_nilpotent_extension():
     r4 = build_r_m(4)
     assert lower_central_series(r4).nilindex is None
-    assert derived_series(r4).nilindex is not None
     assert is_solvable(r4)
     assert not is_nilpotent(r4)
 

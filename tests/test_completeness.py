@@ -11,10 +11,13 @@ from liecontract.algebra import (
     check_jacobi,
     derivations,
     derived_subalgebra,
+    from_brackets,
+    from_json_dict,
     is_derivation,
     is_nilpotent,
     is_solvable,
     lower_central_series,
+    to_json_dict,
 )
 from liecontract.completeness import (
     build_r_m,
@@ -33,7 +36,7 @@ from liecontract.families import (
     make_heisenberg_plus_abelian,
     make_model_filiform,
 )
-from oracles import derivation_by_brackets, derivation_nullity_bruteforce
+from oracles import derivation_by_brackets, derivation_nullity_bruteforce, in_basis
 
 
 def unit(n, i):
@@ -102,6 +105,37 @@ def test_rank_is_bounded_by_betti1():
     g45 = make_g_m_q(4, (5,))
     assert diagonal_rank(g45) == betti1(g45) == 3
     assert diagonal_rank(make_heisenberg_plus_abelian(4)) == 6
+
+
+def torus_weights(L):
+    """The weight of each basis vector under the torus of `max_torus`, one tuple per index."""
+    torus = max_torus(L)
+    return [tuple(w[i] for w in torus) for i in range(L.dim)]
+
+
+def test_torus_weights_are_pairwise_distinct_on_the_families():
+    # So every weight space of T = max_torus is a line QX_r.  A torus that
+    # holds T commutes with it, keeps each QX_r, so is diagonal and lies in T:
+    # T is maximal, and diagonal_rank is the rank of every maximal torus.
+    checked = 0
+    for m in range(4, 11):
+        for q in [()] + all_q_lists(m, 2):
+            L = make_g_m_q(m, q) if q else make_g_m(m)
+            assert len(set(torus_weights(L))) == L.dim, (m, q)
+            checked += 1
+    assert checked == 168
+
+
+def test_a_repeated_weight_makes_the_diagonal_rank_a_lower_bound():
+    L = from_brackets(4, {(0, 1): {3: 1}, (0, 2): {3: 1}})
+    weights = torus_weights(L)
+    assert weights[1] == weights[2]
+    assert diagonal_rank(L) == 2
+    # In the basis (X1, X2 - X3, X3, X4) the same law is h3 + C: [Y1, Y3] = Y4.
+    P = [[1, 0, 0, 0], [0, 1, -1, 0], [0, 0, 1, 0], [0, 0, 0, 1]]
+    split = from_json_dict(in_basis(to_json_dict(L), P))
+    assert split == from_brackets(4, {(0, 2): {3: 1}})
+    assert diagonal_rank(split) == 3
 
 
 def test_max_torus_of_abelian_is_everything():
