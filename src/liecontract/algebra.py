@@ -586,7 +586,10 @@ def derivations(L: LieAlgebra) -> Subspace:
     (`_derivation_rows`, solved over the unknowns with w_r = w_c only) and
     ad(X_i) for the X_i of nonzero weight; ad(X_i) of weight zero lies in
     the block already.  The result is the canonical span, the same subspace
-    as the kernel of the full system.
+    as the kernel of the full system.  It is not eliminated again: an inner
+    ad(X_i) holds only unknowns D_sr with w_s = w_r + w_i != w_r, none of
+    the block's, so only the inner rows are eliminated, and their canonical
+    rows are merged by lead with the block kernel's, canonical already.
     """
     n = L.dim
     weights = _torus_weights(L)
@@ -599,8 +602,11 @@ def derivations(L: LieAlgebra) -> Subspace:
     block = [r * n + c for r in range(n) for c in range(n) if weights[r] == weights[c]]
     index = {u: k for k, u in enumerate(block)}
     kernel = nullspace_of_rows([{index[u]: v for u, v in row.items()} for row in rows], len(block))
+    # `block` is increasing, so the kernel's canonical rows stay canonical in
+    # the n*n coordinates.
     spanning = [{block[k]: v for k, v in row.items()} for row in kernel._rows]
-    return Subspace._from_rows(spanning + inner, n * n)
+    merged = sorted(spanning + list(Subspace._from_rows(inner, n * n)._rows), key=min)
+    return Subspace._from_canonical(merged, n * n)
 
 
 def is_derivation(L: LieAlgebra, M: Matrix) -> bool:

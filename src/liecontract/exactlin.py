@@ -23,6 +23,17 @@ the core's reduced rows as integers; `Fraction`s are built only at the
 dense boundary: `Subspace.basis` divides each row by its lead, and `rank` /
 `solve` normalise their own pivots.
 
+A kernel costs one elimination.  `nullspace_of_rows` eliminates the rows
+with their columns reversed (c -> n - 1 - c).  A reduced pivot row then
+holds, besides its lead, only free columns above it, so the kernel vector
+of a free column f holds f, with a positive entry, and otherwise only pivot
+columns below f: no other free column.  Reversed back, f is the vector's
+lead and the images of the other free columns, the leads of the other
+kernel vectors, are zero in it; made primitive, the vectors are the
+canonical rows of the kernel.  Canonical rows are also reused as they are:
+`Subspace.is_subset` reduces against them as a ready echelon form, and
+`Subspace._from_canonical` takes rows already in canonical form.
+
 Inside the package vectors are sparse rows `{column: nonzero value}`.
 """
 
@@ -268,9 +279,23 @@ def rank(matrix: Matrix) -> int:
 
 
 def nullspace_of_rows(rows: Iterable[Mapping[int, int | Fraction]], ncols: int) -> "Subspace":
-    """Kernel of a sparse row system of ints or Fractions, as a canonical Subspace of Q^ncols."""
-    pivots = _echelon(rows)
-    return Subspace._from_rows(_integer_kernel(pivots, ncols), ncols)
+    """Kernel of a sparse row system of ints or Fractions, as a canonical Subspace of Q^ncols.
+
+    One elimination: the rows enter `_echelon` with their columns reversed
+    (c -> ncols - 1 - c).  In that reduced form a pivot row holds its lead
+    and free columns above it, so by `_integer_kernel` the kernel vector of
+    a free column f holds f, with a positive entry, and otherwise only pivot
+    columns below f; it holds no other free column.  Mapped back, those
+    pivot columns land above the image of f, so that image is the vector's
+    lead, with a positive entry, and the vector is zero at the image of
+    every other free column, the lead of another kernel vector.  So the
+    vectors, made primitive and sorted by lead, are the canonical rows of
+    the kernel, one per free column, and need no second elimination.
+    """
+    last = ncols - 1
+    pivots = _echelon({last - c: v for c, v in row.items()} for row in rows)
+    kernel = [{last - c: v for c, v in _primitive(vec).items()} for vec in _integer_kernel(pivots, ncols)]
+    return Subspace._from_canonical(sorted(kernel, key=min), ncols)
 
 
 def solve(matrix: Matrix, rhs: Sequence) -> tuple[Fraction, ...]:
@@ -338,10 +363,19 @@ class Subspace:
         return sub
 
     @classmethod
+    def _from_canonical(cls, rows: Iterable[dict[int, int]], ambient_dim: int) -> "Subspace":
+        """The Subspace whose canonical rows, in lead order, are `rows`; nothing is eliminated or checked."""
+        sub = cls.__new__(cls)
+        object.__setattr__(sub, "ambient_dim", ambient_dim)
+        object.__setattr__(sub, "_rows", tuple(rows))
+        return sub
+
+    @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
         if ambient_dim < 0:
             raise DimensionError("ambient dimension must be nonnegative")
-        return cls._from_rows([{c: 1} for c in range(ambient_dim)], ambient_dim)
+        # Unit rows are canonical as they stand.
+        return cls._from_canonical([{c: 1} for c in range(ambient_dim)], ambient_dim)
 
     @property
     def basis(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -365,7 +399,11 @@ class Subspace:
             raise DimensionError(
                 f"ambient dimensions differ: {self.ambient_dim} vs {other.ambient_dim}"
             )
-        return Subspace._from_rows(other._rows + self._rows, self.ambient_dim).dim == other.dim
+        # other's canonical rows are already a reduced echelon form: a row of
+        # self lies in other iff reducing it against them leaves zero.  The
+        # copy keeps `_reduce` from updating self's row in place.
+        pivots = {min(row): row for row in other._rows}
+        return not any(_reduce(dict(row), row.keys() & pivots.keys(), pivots) for row in self._rows)
 
     def __eq__(self, other) -> bool:
         return (

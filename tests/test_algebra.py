@@ -1,3 +1,4 @@
+import copy
 import json
 from fractions import Fraction
 
@@ -506,6 +507,52 @@ def test_centralizer_matches_bracket(case):
         for s in range(n):
             probe_rows.append({i: w[s] for i, w in enumerate(brackets) if w[s]})
     assert C.dim == n - rank_reverse_elimination(probe_rows)
+
+
+# is_subset reduces each row of A against B's canonical rows, which already
+# form a reduced echelon form.  The rank test eliminates B's rows and A's
+# together and compares the dimension with dim B.
+
+
+def is_subset_by_rank(A, B):
+    return Subspace._from_rows(B._rows + A._rows, B.ambient_dim).dim == B.dim
+
+
+def assert_is_subset_agrees_with_the_rank_test(A, B):
+    """A.is_subset(B) equals the rank test and leaves the canonical rows of both as they were."""
+    rows_a, rows_b = copy.deepcopy(A._rows), copy.deepcopy(B._rows)
+    answer = A.is_subset(B)
+    assert (A._rows, B._rows) == (rows_a, rows_b)
+    assert answer == is_subset_by_rank(A, B)
+    return answer
+
+
+@settings(max_examples=60, deadline=None)
+@given(algebra_with_vectors(0, 4))
+def test_is_subset_agrees_with_the_rank_test(case):
+    L, vectors = case
+    n = L.dim
+    A = Subspace(n, vectors)
+    half = Subspace._from_rows(A._rows[: A.dim // 2], n)
+    spaces = [Subspace(n), Subspace.full(n), A, half, center(L), derived_subalgebra(L), centralizer(L, A)]
+    for X in spaces:
+        for Y in spaces:
+            assert_is_subset_agrees_with_the_rank_test(X, Y)
+    assert assert_is_subset_agrees_with_the_rank_test(half, A)
+
+
+def test_is_subset_on_the_zero_an_equal_a_proper_subspace_and_a_non_member(g4):
+    terms = lower_central_series(g4).terms
+    zero, whole = terms[-1], terms[0]
+    # The canonical rows of the series of g4 are unit rows, so `_reduce` runs
+    # with multiplier 1 and would update an uncopied row of A in place.
+    assert all(len(row) == 1 for term in terms for row in term._rows)
+    assert assert_is_subset_agrees_with_the_rank_test(zero, center(g4))
+    assert assert_is_subset_agrees_with_the_rank_test(center(g4), Subspace(9, center(g4).basis))
+    assert assert_is_subset_agrees_with_the_rank_test(terms[3], terms[2])
+    assert not assert_is_subset_agrees_with_the_rank_test(terms[2], terms[3])
+    assert not assert_is_subset_agrees_with_the_rank_test(Subspace(9, [unit(9, 0)]), derived_subalgebra(g4))
+    assert not assert_is_subset_agrees_with_the_rank_test(whole, zero)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,9 @@ import pytest
 from liecontract import algebra, cli
 from liecontract.algebra import (
     LieAlgebra,
+    _derivation_rows,
     _generators,
+    _torus_weights,
     betti1,
     center,
     check_jacobi,
@@ -27,7 +29,7 @@ from liecontract.completeness import (
     semidirect_product,
     weight_system,
 )
-from liecontract.exactlin import Matrix
+from liecontract.exactlin import Matrix, Subspace, _echelon, _integer_kernel
 from liecontract.families import (
     all_q_lists,
     make_abelian,
@@ -277,6 +279,34 @@ def test_derivations_of_torus_extensions_match_bruteforce(q):
         assert der.dim == derivation_nullity_bruteforce(L)
         basis = [Matrix([vec[r * n : (r + 1) * n] for r in range(n)]) for vec in der.basis]
         assert derivation_by_brackets(L, *basis)
+
+
+def derivations_by_one_span(L):
+    """Der(L) with the block kernel eliminated twice and its sum with the inner ad(X_i) once more."""
+    n = L.dim
+    weights = _torus_weights(L)
+    block = [r * n + c for r in range(n) for c in range(n) if weights[r] == weights[c]]
+    index = {u: k for k, u in enumerate(block)}
+    rows = [{index[u]: v for u, v in row.items()} for row in _derivation_rows(L)]
+    kernel = Subspace._from_rows(_integer_kernel(_echelon(rows), len(block)), len(block))
+    spanning = [{block[k]: v for k, v in row.items()} for row in kernel._rows]
+    inner = [{s * n + r: -c for (r, s, c) in L._adj[i]} for i in range(n) if any(weights[i])]
+    return Subspace._from_rows(spanning + inner, n * n)
+
+
+def test_merged_derivation_basis_is_the_canonical_span():
+    # derivations() merges the canonical block kernel and inner rows by lead
+    # instead of eliminating their union: on every rm(q..) with m = 4..7 and
+    # at most two cuts, on the partial-torus extensions and on a sheared
+    # basis, the rows are those of the union's elimination.
+    algebras = [build_r_m(m, q) for m in range(4, 8) for q in [()] + all_q_lists(m, 2)]
+    for q in [()] + all_q_lists(4, 2):
+        g = make_g_m_q(4, q) if q else make_g_m(4)
+        torus = max_torus(g)
+        algebras += [semidirect_product(g, part) for part in (torus[:1], torus[:-1])]
+        algebras.append(_sheared(semidirect_product(g, torus), len(torus)))
+    for L in algebras:
+        assert derivations(L)._rows == derivations_by_one_span(L)._rows
 
 
 def test_centerless_extension_with_outer_derivations():

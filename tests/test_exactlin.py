@@ -4,10 +4,10 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from liecontract import exactlin
-from liecontract.algebra import LieAlgebra, bracket_subspaces
+from liecontract.algebra import LieAlgebra, _derivation_rows, bracket_subspaces, from_json_dict, to_json_dict
 from liecontract.exactlin import (
     DimensionError,
     LinearSolveError,
@@ -15,10 +15,12 @@ from liecontract.exactlin import (
     Subspace,
     nullspace_of_rows,
     _echelon,
+    _integer_kernel,
     rank,
     solve,
 )
-from oracles import rank_reverse_elimination, rref_gauss_jordan
+from liecontract.families import all_q_lists, make_g_m_q
+from oracles import in_basis, random_basis, rank_reverse_elimination, rref_gauss_jordan
 
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -355,6 +357,69 @@ def test_nullspace_of_rows_matches_dense():
     dense = Matrix([[1, 0, -1], [0, 2, 0]])
     assert nullspace_of_rows(rows, 3) == nullspace_of_rows(rows_of(dense), 3)
     assert nullspace_of_rows(rows, 3) == Subspace(3, [[1, 0, 1]])
+
+
+# nullspace_of_rows eliminates once, on the column-reversed rows, and reads
+# the canonical kernel rows off that echelon form.  The reference below
+# eliminates twice: the rows as they are, then the kernel vectors that
+# `_integer_kernel` reads off the first echelon form.
+
+
+def assert_kernel_is_the_canonical_span(rows, ncols):
+    kernel = nullspace_of_rows(rows, ncols)
+    reference = Subspace._from_rows(_integer_kernel(_echelon(rows), ncols), ncols)
+    assert kernel._rows == reference._rows
+    for vec in kernel._rows:
+        for row in rows:
+            assert sum(v * row.get(c, 0) for c, v in vec.items()) == 0
+
+
+@st.composite
+def kernel_systems(draw):
+    """(ncols, rows) with ncols from 0: sparse rows of ints, Fractions, explicit zeros and empty rows."""
+    ncols = draw(st.integers(0, 8))
+    columns = st.integers(0, ncols - 1) if ncols else st.nothing()
+    rows = draw(st.lists(st.dictionaries(columns, sparse_entries, max_size=ncols), max_size=8))
+    return ncols, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(kernel_systems())
+@example((0, []))
+@example((0, [{}, {}]))
+@example((1, [{0: 0}, {}]))
+@example((1, [{0: Fraction(-2, 3)}]))
+# Reversed, this row is the pivot row {0: 4, 2: 2, 3: 1}; the kernel vector
+# of free column 2 is then {2: 4, 0: -2}, with content 2.
+@example((4, [{0: 1, 1: 2, 3: 4}]))
+# The kernel rows {0: 1, 3: 1} and {1: 1, 2: 1} are in lead order, not in
+# the order of their last columns.
+@example((4, [{0: 1, 3: -1}, {1: 1, 2: -1}]))
+def test_one_elimination_gives_the_canonical_kernel(system):
+    ncols, rows = system
+    assert_kernel_is_the_canonical_span(rows, ncols)
+
+
+def test_the_kernel_vectors_are_made_primitive():
+    # Reversed, the row is the primitive pivot row {0: 4, 2: 2, 3: 1}, and the
+    # kernel vector of free column 2 comes out as {2: 4, 0: -2}: reversed
+    # back and divided by its content 2, it is {1: 2, 3: -1}.
+    kernel = nullspace_of_rows([{0: 1, 1: 2, 3: 4}], 4)
+    assert kernel._rows == ({0: 4, 3: -1}, {1: 2, 3: -1}, {2: 1})
+
+
+@pytest.mark.parametrize("m", range(4, 9))
+def test_one_elimination_gives_the_canonical_kernel_of_each_derivation_system(m):
+    for q in [()] + list(all_q_lists(m, 2)):
+        L = make_g_m_q(m, q)
+        assert_kernel_is_the_canonical_span(_derivation_rows(L), L.dim**2)
+
+
+def test_one_elimination_gives_the_canonical_kernel_of_a_dense_derivation_system():
+    g = make_g_m_q(4, (4,))
+    L = from_json_dict(in_basis(to_json_dict(g), random_basis(g.dim, 1)))
+    assert L._den > 1
+    assert_kernel_is_the_canonical_span(_derivation_rows(L), L.dim**2)
 
 
 def test_span_canonicalizes_generators():
