@@ -12,7 +12,6 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
-from itertools import combinations
 from math import lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
@@ -96,16 +95,40 @@ class LieAlgebra:
         if len(labels) != dim:
             raise DimensionError("label count does not match dimension")
         den = lcm(*(c.denominator for entries in clean.values() for c in entries.values()))
-        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
-        for (i, j), entries in clean.items():
+        for entries in clean.values():
             for k, c in entries.items():
                 # Each Fraction is replaced in place by the int c * den.
-                entries[k] = scaled = c.numerator * (den // c.denominator)
+                entries[k] = c.numerator * (den // c.denominator)
+        self._build(dim, clean, den, labels)
+
+    @classmethod
+    def _from_scaled(
+        cls, dim: int, tensor: dict[tuple[int, int], dict[int, int]], den: int, labels: tuple[str, ...]
+    ) -> "LieAlgebra":
+        """The law whose `_tensor` is `tensor` and whose `_den` is `den`; nothing is checked or copied.
+
+        For a law derived from checked ones: the pairs satisfy 0 <= i < j <
+        dim, every target lies in range, every value is a nonzero int and
+        `den` is the lcm of the denominators of the constants value / den in
+        lowest terms, so the result equals the law that the constructor
+        builds from those constants.
+        """
+        algebra = cls.__new__(cls)
+        algebra._build(dim, tensor, den, labels)
+        return algebra
+
+    def _build(
+        self, dim: int, tensor: dict[tuple[int, int], dict[int, int]], den: int, labels: tuple[str, ...]
+    ) -> None:
+        """Set every slot from a scaled tensor: `_adj` is read off `tensor`, and the memo starts empty."""
+        adj: list[list[tuple[int, int, int]]] = [[] for _ in range(dim)]
+        for (i, j), entries in tensor.items():
+            for k, scaled in entries.items():
                 adj[j].append((i, k, scaled))
                 adj[i].append((j, k, -scaled))
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "basis_labels", labels)
-        object.__setattr__(self, "_tensor", clean)
+        object.__setattr__(self, "_tensor", tensor)
         object.__setattr__(self, "_adj", tuple(tuple(row) for row in adj))
         object.__setattr__(self, "_den", den)
         object.__setattr__(self, "_memo", {})
@@ -533,43 +556,59 @@ def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
     so the equations on G give the same kernel.  The
     structure constants enter scaled by `L._den`, as `L._tensor` and
     `L._adj` hold them; every equation is linear in them, so the kernel is
-    unchanged and all rows are integral.  Rows come per pair (i, j) in lex
-    order, then per output component s.
+    unchanged and all rows are integral.
+
+    Each equation is assembled from the nonzeros that enter it, each read
+    once.  A stored fiber [X_i, X_j] = sum_k c X_k puts c D_sk into the
+    equation (i, j, s) of each s in the class w_i + w_j.  Moved to the left,
+    [DX_a, X_b] = sum_r D_ra [X_r, X_b] for a != b, so a triple (r, s, c) of
+    `_adj[b]`, [X_r, X_b] = c X_s, puts -c D_ra into the equation
+    (min(a, b), max(a, b), s) of each a != b in the class w_s - w_b: the
+    term of [DX_i, X_j] when a < b, and with the sign flipped, since
+    [X_i, DX_j] = -[DX_j, X_i], the term of [X_i, DX_j] when a > b.  That
+    class is the class of w_r: ad(h) of a torus element is a derivation, so
+    w_s = w_r + w_b wherever [X_r, X_b] holds X_s.  Rows
+    come in the order their equations are first reached: those of the
+    stored pairs in tensor order, then the rest.  The kernel does not depend
+    on the order.
     """
     n, adj = L.dim, L._adj
     weights = _torus_weights(L)
+    generators = set(_generators(L))
     classes: dict[tuple[int, ...], list[int]] = {}
     for s, w in enumerate(weights):
         classes.setdefault(w, []).append(s)
-    # class_of[s] is the very list classes[w_s], so `class_of[s] is outputs`
-    # tests w_s = w_i + w_j without comparing tuples.
+    # The members of each class that lie in G: the only a whose pair with b is
+    # built when b is not in G.
+    in_generators = {w: [a for a in members if a in generators] for w, members in classes.items()}
     class_of = [classes[w] for w in weights]
-    generators = set(_generators(L))
-    rows: list[dict[int, int]] = []
-    for i, j in combinations(range(n), 2):
-        if i not in generators and j not in generators:
-            continue
-        outputs = classes.get(tuple(map(add, weights[i], weights[j])))
-        if outputs is None:
-            continue
-        fiber = L._tensor.get((i, j))
-        per_s = {s: {s * n + k: c for k, c in fiber.items()} for s in outputs} if fiber else {}
-        # Moved to the left, [DX_i, X_j] = sum_r D_ri [X_r, X_j] gives -c D_ri
-        # for each (r, s, c) in adj[j], and [X_i, DX_j] = -sum_r D_rj [X_r, X_i]
-        # gives +c D_rj for each (r, s, c) in adj[i].
-        for other, sign, entries in ((i, -1, adj[j]), (j, 1, adj[i])):
-            for (r, s, c) in entries:
-                if class_of[s] is not outputs:
+    class_in_generators = [in_generators[w] for w in weights]
+    # The equation (i, j, s) with i < j is keyed by the int (i*n + j)*n + s.
+    equations: dict[int, dict[int, int]] = {}
+    for (i, j), fiber in L._tensor.items():
+        if i in generators or j in generators:
+            for s in classes.get(tuple(map(add, weights[i], weights[j])), ()):
+                equations[(i * n + j) * n + s] = {s * n + k: c for k, c in fiber.items()}
+    for b in range(n):
+        partners = class_of if b in generators else class_in_generators
+        for (r, s, c) in adj[b]:
+            for a in partners[r]:
+                if a < b:
+                    key, term = (a * n + b) * n + s, -c
+                elif a > b:
+                    key, term = (b * n + a) * n + s, c
+                else:
                     continue
-                row = per_s.setdefault(s, {})
-                col = r * n + other
-                new = row.get(col, 0) + sign * c
+                row = equations.get(key)
+                if row is None:
+                    row = equations[key] = {}
+                col = r * n + a
+                new = row.get(col, 0) + term
                 if new:
                     row[col] = new
                 else:
                     del row[col]
-        rows.extend(per_s[s] for s in sorted(per_s) if per_s[s])
-    return rows
+    return [row for row in equations.values() if row]
 
 
 def derivations(L: LieAlgebra) -> Subspace:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 from .algebra import LieAlgebra, _per_algebra, center, derivations
@@ -82,14 +83,20 @@ def semidirect_product(L: LieAlgebra, torus: Sequence[Sequence[Fraction]]) -> Li
     rows = [{i: f for i, f in enumerate(map(_coerce, w)) if f} for w in torus]
     if not Subspace._from_rows(rows, n).is_subset(weight_system(L)):
         raise ValueError("torus generator is not a derivation of the algebra")
-    tensor: dict[tuple[int, int], dict[int, Fraction]] = {}
+    # The product's constants are those of L and the weights, so its `_den`
+    # is the lcm of theirs, and L's stored integers are rescaled to it: no
+    # constant is turned back into a Fraction.
+    den = lcm(L._den, *(f.denominator for row in rows for f in row.values()))
+    scale = den // L._den
+    tensor: dict[tuple[int, int], dict[int, int]] = {}
     for a, row in enumerate(rows):
-        for i, value in row.items():
-            tensor[(a, s + i)] = {s + i: value}
-    for (i, j, k, c) in L.entries():
-        tensor.setdefault((s + i, s + j), {})[s + k] = c
+        for i, f in row.items():
+            tensor[(a, s + i)] = {s + i: f.numerator * (den // f.denominator)}
+    for (i, j) in sorted(L._tensor):
+        fiber = L._tensor[(i, j)]
+        tensor[(s + i, s + j)] = {s + k: fiber[k] * scale for k in sorted(fiber)}
     labels = tuple(f"H{a + 1}" for a in range(s)) + L.basis_labels
-    return LieAlgebra(s + n, tensor, labels)
+    return LieAlgebra._from_scaled(s + n, tensor, den, labels)
 
 
 @dataclass(frozen=True)

@@ -4,15 +4,23 @@ Results are exact and reproducible: a subspace is held in a canonical form
 (unique for a given row space), subspaces compare equal iff their canonical
 rows are identical, and no pivot selection depends on magnitudes.
 
-The elimination core (`_echelon`) works on primitive integer rows
-(fraction-free elimination).  It keeps its pivot rows reduced as rows
-arrive (incremental Gauss-Jordan, no back-substitution pass), so the pivot
-rows are the canonical RREF at every step.  An incoming row is reduced
-against all the pivot columns it holds in one pass, with one content gcd at
-the end (as in Bareiss's fraction-free elimination, the content is removed
-once per reduction, not after every step); since each pivot row is zero in
-the other pivot columns, that pass gives the same primitive row as
-eliminating the columns one at a time.  The same routine, over one column,
+The elimination core (`_echelon`) settles unit rows first.  A row with one
+nonzero entry, at column c, puts e_c in the span, so c is cut from every
+other row, and a row cut down to one entry settles its column in turn.  The
+result is unchanged: the cut rows and the e_c span the same space, and a
+space that holds e_c has e_c as its canonical row with lead c (that row
+minus e_c is zero at every pivot column, so it is zero), while no other
+canonical row holds c.  On the sparse systems of the families most rows
+are settled this way and never reach a row operation.  The rows that are
+left are eliminated as primitive integer rows (fraction-free elimination).
+The core keeps its pivot rows reduced as rows arrive (incremental
+Gauss-Jordan, no back-substitution pass), so the pivot rows are the
+canonical RREF at every step.  An incoming row is reduced against all the
+pivot columns it holds in one pass, with one content gcd at the end (as in
+Bareiss's fraction-free elimination, the content is removed once per
+reduction, not after every step); since each pivot row is zero in the other
+pivot columns, that pass gives the same primitive row as eliminating the
+columns one at a time.  The same routine, over one column,
 clears a new lead from the older pivot rows.  A row may hold ints or
 Fractions: an integral row enters the core as it is, a rational one has its
 denominators cleared first.  The systems built from the brackets of a
@@ -133,18 +141,85 @@ def _reduce(
     return _primitive(row) if row else row
 
 
+def _unit_column(row: Mapping[int, int | Fraction]) -> int | None:
+    """The column c of a unit row, a row with one entry, at c, and that entry nonzero; else None."""
+    if len(row) == 1:
+        ((c, v),) = row.items()
+        if v:
+            return c
+    return None
+
+
+def _settle_units(
+    rows: Iterable[Mapping[int, int | Fraction]], units: set[int]
+) -> list[Mapping[int, int | Fraction]]:
+    """The non-unit rows with every settled column cut out; `units` grows to every settled column.
+
+    `units` holds the columns of the unit rows of `rows` on entry.  A
+    settled column c puts e_c in the span, so c is cut from every row that
+    holds it.  A row cut down to a unit row settles its column in turn, and
+    a row cut down to nothing is dropped.  A queue of settled columns and a
+    column -> rows index make the cascade visit each entry once.  A row is
+    copied before its first cut, so the input rows are not modified.  A row
+    is a unit row only when it holds one entry: a cut row such as
+    {c: 3, d: 0} is eliminated as it stands, which changes the cost, not
+    the result.
+    """
+    live: list[Mapping[int, int | Fraction] | None] = []
+    holders: dict[int, list[int]] = {}
+    for row in rows:
+        if _unit_column(row) is None:
+            for c in row:
+                holders.setdefault(c, []).append(len(live))
+            live.append(row)
+    copied = [False] * len(live)
+    queue = list(units)
+    while queue:
+        settled = queue.pop()
+        for k in holders.pop(settled, ()):
+            row = live[k]
+            if row is None:
+                continue
+            if not copied[k]:
+                row = live[k] = dict(row)
+                copied[k] = True
+            del row[settled]
+            unit = _unit_column(row)
+            if unit is not None:
+                live[k] = None
+                if unit not in units:
+                    units.add(unit)
+                    queue.append(unit)
+            elif not row:
+                live[k] = None
+    return [row for row in live if row is not None]
+
+
 def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, int]]:
     """Reduced echelon form of sparse rows of ints or Fractions, as {lead column: row}.
 
-    Incremental Gauss-Jordan: the pivot rows are kept reduced at every step,
-    and there is no back-substitution pass.  Every row operation is one
-    `_reduce`.  An incoming row is reduced against all the pivot columns it
-    holds in a single pass.  Every pivot row is zero in the other pivot
-    columns, so the pass brings in no new pivot column and a dependent row
-    reaches zero.  What is left, if anything, becomes the pivot row of its
-    lead min(row), made positive, and that column is cleared from each older
-    pivot row that holds it, one `_reduce` over that one column per older
-    row.  Their leads are smaller, so they keep their leads and signs.
+    Unit rows are settled first.  A unit row, one nonzero entry at column c,
+    puts e_c in the span, so `_settle_units` cuts c from every other row and
+    follows the rows that this cuts down to unit rows in turn.  The cut rows
+    and the e_c span the same space as the input.  A space that holds e_c
+    has e_c as its canonical row with lead c: that row minus e_c lies in
+    the space and is zero at every pivot column, so it is zero.  The other
+    canonical rows are zero at c, a pivot column.  So the result is the
+    echelon form of the cut rows, which hold no settled column, plus the
+    pivot row {c: 1} for each settled column.  The column -> rows index is
+    built only when some unit row exists.
+
+    The rows that are left are made primitive integer rows (`_integer_row`;
+    a cut row is made primitive again) and eliminated by incremental
+    Gauss-Jordan: the pivot rows are kept reduced at every step, and there
+    is no back-substitution pass.  Every row operation is one `_reduce`.  An
+    incoming row is reduced against all the pivot columns it holds in a
+    single pass.  Every pivot row is zero in the other pivot columns, so the
+    pass brings in no new pivot column and a dependent row reaches zero.
+    What is left, if anything, becomes the pivot row of its lead min(row),
+    made positive, and that column is cleared from each older pivot row that
+    holds it, one `_reduce` over that one column per older row.  Their leads
+    are smaller, so they keep their leads and signs.
 
     Every pivot row's columns lie at or above its own lead, so a new lead
     below `low`, the smallest lead so far, is held by no older row: only a
@@ -156,6 +231,10 @@ def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int
     does not depend on the order of the rows.  The input rows are not
     modified, and no returned row is one of them.
     """
+    rows = list(rows)
+    units = {c for c in map(_unit_column, rows) if c is not None}
+    if units:
+        rows = _settle_units(rows, units)
     pivots: dict[int, dict[int, int]] = {}
     low = inf
     # Rows are taken by descending first column, so a new lead mostly lies
@@ -177,6 +256,8 @@ def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int
         for older, older_row in pivots.items():
             if lead in older_row and older != lead:
                 pivots[older] = _reduce(older_row, (lead,), pivots)
+    for c in units:
+        pivots[c] = {c: 1}
     return pivots
 
 

@@ -32,7 +32,7 @@ from liecontract.algebra import (
     to_json_dict,
 )
 from liecontract.completeness import build_r_m, weight_system
-from liecontract.exactlin import DimensionError, Matrix, Subspace
+from liecontract.exactlin import DimensionError, Matrix, Subspace, nullspace_of_rows
 from liecontract.families import (
     all_q_lists,
     make_abelian,
@@ -42,6 +42,7 @@ from liecontract.families import (
     make_model_filiform,
 )
 from oracles import (
+    _bruteforce_derivation_rows,
     _unit_brackets,
     ad_power_ranks,
     center_by_brackets,
@@ -432,6 +433,39 @@ def test_ad_matrices_are_derivations(g4):
 def test_non_derivation_is_rejected():
     heis = make_model_filiform(3)
     assert not is_derivation(heis, Matrix([[int(r == c) for c in range(3)] for r in range(3)]))
+
+
+# `_derivation_rows` assembles each Leibniz equation from the nonzeros of the
+# tensor; the oracle's rows probe every elementary matrix through the dense
+# table of basis brackets.  The same kernel means the same equations.
+
+
+def assert_derivations_are_the_kernel_of_the_bruteforce_rows(L):
+    assert derivations(L) == nullspace_of_rows(_bruteforce_derivation_rows(L), L.dim**2)
+
+
+@pytest.mark.parametrize("m", range(4, 8))
+def test_derivations_of_each_family_member_are_the_kernel_of_the_bruteforce_rows(m):
+    # dim Der against derivation_nullity_bruteforce on the same grid is
+    # checked by test_series_center_and_derived_algebra_match_the_oracles_on_the_grid.
+    for q in [()] + list(all_q_lists(m, 2)):
+        assert_derivations_are_the_kernel_of_the_bruteforce_rows(make_g_m_q(m, q))
+
+
+@pytest.mark.parametrize("name", ["dense g4(4)", "dense rm4(4)", "solv3", "so3"])
+def test_derivations_of_dense_and_non_nilpotent_algebras_are_the_kernel_of_the_bruteforce_rows(name):
+    L = {
+        "dense g4(4)": dense(make_g_m_q(4, (4,)), 1),
+        "dense rm4(4)": dense(build_r_m(4, (4,)), 1),
+        "solv3": LieAlgebra(3, SOLV3),
+        "so3": LieAlgebra(3, SO3),
+    }[name]
+    assert_derivations_are_the_kernel_of_the_bruteforce_rows(L)
+    # The brute-force count of the dense rm4(4) takes most of a minute; its
+    # dim is bounded from both sides in
+    # test_non_nilpotent_and_perfect_algebras_match_the_oracles.
+    if name != "dense rm4(4)":
+        assert derivations(L).dim == derivation_nullity_bruteforce(L)
 
 
 # --- bracket-driven primitives against the dense bracket ----------------------

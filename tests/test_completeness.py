@@ -29,7 +29,7 @@ from liecontract.completeness import (
     semidirect_product,
     weight_system,
 )
-from liecontract.exactlin import Matrix, Subspace, _echelon, _integer_kernel
+from liecontract.exactlin import Matrix, Subspace, _echelon, _integer_kernel, nullspace_of_rows
 from liecontract.families import (
     all_q_lists,
     make_abelian,
@@ -38,7 +38,7 @@ from liecontract.families import (
     make_heisenberg_plus_abelian,
     make_model_filiform,
 )
-from oracles import derivation_by_brackets, derivation_nullity_bruteforce, in_basis
+from oracles import _bruteforce_derivation_rows, derivation_by_brackets, derivation_nullity_bruteforce, in_basis
 
 
 def unit(n, i):
@@ -187,6 +187,39 @@ def test_integer_torus_builds_the_same_extension_as_its_fraction_form():
     assert extension.basis_labels == build_r_m(5, (3,)).basis_labels
 
 
+def law_through_the_constructor(L):
+    """L rebuilt by the public constructor from the Fraction constants that `entries()` reads back."""
+    tensor = {}
+    for (i, j, k, c) in L.entries():
+        tensor.setdefault((i, j), {})[k] = c
+    return LieAlgebra(L.dim, tensor, L.basis_labels)
+
+
+def test_an_extension_built_from_the_scaled_tensor_is_the_law_the_constructor_builds():
+    # semidirect_product rescales the stored integers of L to the lcm of L's
+    # denominator and the weights' denominators, with no Fraction round trip.
+    extensions = []
+    for m in range(4, 8):
+        for q in [()] + all_q_lists(m, 2):
+            g = make_g_m_q(m, q)
+            torus = max_torus(g)
+            extensions += [semidirect_product(g, part) for part in (torus, torus[:1], torus[:-1])]
+    # Weights in Z/2 on a law whose constants have denominator 3: the product's
+    # denominator is 6, so both the weights and the constants of L are rescaled.
+    g = make_g_m_q(4, (4,))
+    thirds = LieAlgebra(g.dim, {(i, j): {k: Fraction(c, 3)} for (i, j, k, c) in g.entries()})
+    halves = tuple(tuple(Fraction(v, 2) for v in w) for w in max_torus(g))
+    assert thirds._den == 3 and any(v.denominator == 2 for w in halves for v in w)
+    extensions += [semidirect_product(g, halves), semidirect_product(thirds, halves)]
+    assert extensions[-1]._den == 6
+    for L in extensions:
+        rebuilt = law_through_the_constructor(L)
+        assert L == rebuilt
+        assert L._den == rebuilt._den
+        assert L._adj == rebuilt._adj
+        assert L.basis_labels == rebuilt.basis_labels
+
+
 def test_extension_of_uncut_chain():
     r4 = build_r_m(4)
     assert r4.dim == 11
@@ -307,6 +340,31 @@ def test_merged_derivation_basis_is_the_canonical_span():
         algebras.append(_sheared(semidirect_product(g, torus), len(torus)))
     for L in algebras:
         assert derivations(L)._rows == derivations_by_one_span(L)._rows
+
+
+@pytest.mark.parametrize("m", range(4, 8))
+def test_derivations_of_each_extension_are_the_kernel_of_the_bruteforce_rows(m):
+    # `_derivation_rows` reads each fiber and each triple of `_adj` once; on
+    # rm(q..) `_adj[h_a]` holds every index of g, and each of its triples
+    # enters only the equations of its weight class.
+    for q in [()] + all_q_lists(m, 2):
+        L = build_r_m(m, q)
+        n = L.dim
+        assert derivations(L) == nullspace_of_rows(_bruteforce_derivation_rows(L), n * n)
+        assert derivations(L).dim == derivation_nullity_bruteforce(L)
+
+
+def test_derivations_of_partial_and_sheared_extensions_are_the_kernel_of_the_bruteforce_rows():
+    # dim Der against derivation_nullity_bruteforce on these algebras is
+    # checked by test_derivations_of_torus_extensions_match_bruteforce.
+    for q in [()] + all_q_lists(4, 2):
+        g = make_g_m_q(4, q) if q else make_g_m(4)
+        torus = max_torus(g)
+        algebras = [semidirect_product(g, part) for part in (torus[:1], torus[:-1])]
+        algebras.append(_sheared(semidirect_product(g, torus), len(torus)))
+        for L in algebras:
+            n = L.dim
+            assert derivations(L) == nullspace_of_rows(_bruteforce_derivation_rows(L), n * n)
 
 
 def test_centerless_extension_with_outer_derivations():

@@ -190,6 +190,70 @@ def test_echelon_is_the_rref_in_any_row_order(system, rnd):
     assert _echelon(shuffled) == pivots
 
 
+# Unit rows are settled before the elimination: each puts e_c in the span, c
+# is cut from the other rows, and rows cut down to one entry settle in turn.
+
+nonzero_entries = st.one_of(
+    st.integers(-6, 6).filter(bool),
+    st.fractions(min_value=-5, max_value=5, max_denominator=4).filter(bool),
+)
+
+
+@st.composite
+def unit_rich_systems(draw):
+    """(ncols, rows): sparse rows plus unit rows, repeats of them, cascades and zero one-entry rows.
+
+    A cascade is a chain of two-term rows {c_1, c_2}, {c_2, c_3}, ...
+    closed by a unit row at its last column, so settling that column cuts
+    the chain back to a unit row at each step.  Any row may carry an explicit
+    zero entry.
+    """
+    ncols = draw(st.integers(1, 8))
+    column = st.integers(0, ncols - 1)
+    rows = draw(st.lists(st.dictionaries(column, sparse_entries, max_size=ncols), max_size=5))
+    units = []
+    for kind in draw(st.lists(st.sampled_from(("unit", "repeat", "cascade", "zero")), max_size=8)):
+        if kind == "unit" or (kind == "repeat" and not units):
+            units.append({draw(column): draw(nonzero_entries)})
+            rows.append(units[-1])
+        elif kind == "repeat":
+            (c, v), = draw(st.sampled_from(units)).items()
+            rows.append({c: draw(st.sampled_from((v, -v, 3 * v, Fraction(v, 2))))})
+        elif kind == "cascade":
+            chain = draw(st.lists(column, min_size=1, max_size=ncols, unique=True))
+            rows.extend({a: draw(nonzero_entries), b: draw(nonzero_entries)} for a, b in zip(chain, chain[1:]))
+            rows.append({chain[-1]: draw(nonzero_entries)})
+        else:
+            rows.append({draw(column): draw(st.sampled_from((0, Fraction(0))))})
+    for row in rows:
+        if draw(st.booleans()):
+            c = draw(column)
+            if c not in row:
+                row[c] = draw(st.sampled_from((0, Fraction(0))))
+    return ncols, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_rich_systems())
+# A zero one-entry row is no unit row: column 0 is not settled.
+@example((2, [{0: 0}, {0: 1, 1: 1}]))
+@example((2, [{0: Fraction(0)}, {0: 1, 1: 1}]))
+# Cut down to {1: 2, 2: 4}, the row must be made primitive again.
+@example((3, [{0: 1}, {0: 1, 1: 2, 2: 4}]))
+# The unit row at 2 cuts {1: 3, 2: 1} to a unit row at 1, which cuts
+# {0: 2, 1: 1} to a unit row at 0: every settled column is a pivot.
+@example((3, [{0: 2, 1: 1}, {1: 3, 2: 1}, {2: Fraction(1, 2)}]))
+# Cut to {1: 5, 2: 0}, the row holds a zero beside its one nonzero entry.
+@example((3, [{0: 1}, {0: 1, 1: 5, 2: 0}, {1: 1, 2: 1}]))
+def test_unit_rows_are_settled_to_the_rref(system):
+    ncols, rows = system
+    before = copy.deepcopy(rows)
+    pivots = _echelon(rows)
+    assert rows == before
+    assert not {id(row) for row in pivots.values()} & {id(row) for row in rows}
+    assert rref_of(pivots) == rref_gauss_jordan(rows, ncols)
+
+
 def counting_calls(monkeypatch, name, record):
     """Wrap the core's row operation `name`; the returned list gets record(*args) per call."""
     calls = []
