@@ -38,6 +38,7 @@ from .completeness import (
     max_torus,
     semidirect_product,
     weight_system,
+    weight_table,
 )
 from .contraction import (
     DivergentLimitError,

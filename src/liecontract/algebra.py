@@ -12,6 +12,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
+from itertools import accumulate
 from math import lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
@@ -524,6 +525,7 @@ def has_abelian_direct_factor(L: LieAlgebra) -> bool:
 # ---------------------------------------------------------------------------
 
 
+@_per_algebra
 def _torus_weights(L: LieAlgebra) -> tuple[tuple[int, ...], ...]:
     """The weight of each basis index under the diagonal torus t of L, scaled by `L._den`.
 
@@ -533,6 +535,8 @@ def _torus_weights(L: LieAlgebra) -> tuple[tuple[int, ...], ...]:
     `_den * l` where [X_a, X_r] = l X_r, for the k-th such a.  Two of these
     X_a commute, since [X_a, X_b] lies in QX_a and in QX_b.  An L with no such
     X_a (every nilpotent algebra) gives every index the empty weight ().
+    Computed once per algebra: `center`, `_generators_and_series`,
+    `_derivation_rows` and `derivations` all read it.
     """
     adj = L._adj
     torus = [a for a in range(L.dim) if adj[a] and all(r == s for (r, s, _) in adj[a])]
@@ -547,10 +551,15 @@ def _torus_weights(L: LieAlgebra) -> tuple[tuple[int, ...], ...]:
 def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
     """Nonzero integer rows of the weight-zero block of D[X_i,X_j] = [DX_i,X_j] + [X_i,DX_j].
 
-    The unknown D_rc sits at r*n+c.  Every unknown in the equation of the pair
-    (i, j) and output component s has torus weight w_s - w_i - w_j (see
-    `_torus_weights`), so only the equations with w_s = w_i + w_j are built:
-    they involve exactly the unknowns D_rc with w_r = w_c.  Only the pairs
+    Every unknown in the equation of the pair (i, j) and output component s
+    has torus weight w_s - w_i - w_j (see `_torus_weights`), so only the
+    equations with w_s = w_i + w_j are built: they involve exactly the
+    unknowns D_rc with w_r = w_c, the block.  The rows are written in the
+    block's own coordinates: D_rc sits at the position of r*n+c among the
+    block's unknowns in increasing order, `offset[r] + place[c]`, where
+    offset[r] counts the block unknowns of the rows above r and place[c] is
+    the position of c in its weight class.  With no torus the block is all
+    n^2 unknowns and D_rc sits at r*n+c.  Only the pairs
     (i, j) with i or j in the generating set G of `_generators` are built:
     the x with D[x, y] = [Dx, y] + [x, Dy] for every y form a subalgebra,
     so the equations on G give the same kernel.  The
@@ -583,12 +592,18 @@ def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
     in_generators = {w: [a for a in members if a in generators] for w, members in classes.items()}
     class_of = [classes[w] for w in weights]
     class_in_generators = [in_generators[w] for w in weights]
+    place = [0] * n
+    for members in classes.values():
+        for k, c in enumerate(members):
+            place[c] = k
+    offset = list(accumulate(map(len, class_of), initial=0))
     # The equation (i, j, s) with i < j is keyed by the int (i*n + j)*n + s.
     equations: dict[int, dict[int, int]] = {}
     for (i, j), fiber in L._tensor.items():
         if i in generators or j in generators:
             for s in classes.get(tuple(map(add, weights[i], weights[j])), ()):
-                equations[(i * n + j) * n + s] = {s * n + k: c for k, c in fiber.items()}
+                base = offset[s]
+                equations[(i * n + j) * n + s] = {base + place[k]: c for k, c in fiber.items()}
     for b in range(n):
         partners = class_of if b in generators else class_in_generators
         for (r, s, c) in adj[b]:
@@ -602,7 +617,7 @@ def _derivation_rows(L: LieAlgebra) -> list[dict[int, int]]:
                 row = equations.get(key)
                 if row is None:
                     row = equations[key] = {}
-                col = r * n + a
+                col = offset[r] + place[a]
                 new = row.get(col, 0) + term
                 if new:
                     row[col] = new
@@ -622,7 +637,8 @@ def derivations(L: LieAlgebra) -> Subspace:
     2. D[h, x] = [Dh, x] + [h, Dx] gives [ad h, D] = -ad(Dh) for every D.
     3. For a != 0 pick h with a(h) != 0: D_a = -ad(D_a h) / a(h) is inner.
     So Der(L) is spanned by the kernel of the weight-zero block
-    (`_derivation_rows`, solved over the unknowns with w_r = w_c only) and
+    (`_derivation_rows`, solved in the block's own coordinates, the
+    unknowns with w_r = w_c only, then written back at r*n+c) and
     ad(X_i) for the X_i of nonzero weight; ad(X_i) of weight zero lies in
     the block already.  The result is the canonical span, the same subspace
     as the kernel of the full system.  It is not eliminated again: an inner
@@ -639,8 +655,7 @@ def derivations(L: LieAlgebra) -> Subspace:
         # Every weight is zero: the block is the whole system and Der(L) = Der(L)_0.
         return nullspace_of_rows(rows, n * n)
     block = [r * n + c for r in range(n) for c in range(n) if weights[r] == weights[c]]
-    index = {u: k for k, u in enumerate(block)}
-    kernel = nullspace_of_rows([{index[u]: v for u, v in row.items()} for row in rows], len(block))
+    kernel = nullspace_of_rows(rows, len(block))
     # `block` is increasing, so the kernel's canonical rows stay canonical in
     # the n*n coordinates.
     spanning = [{block[k]: v for k, v in row.items()} for row in kernel._rows]

@@ -32,6 +32,7 @@ from .completeness import (
     is_complete,
     max_torus,
     semidirect_product,
+    weight_table,
 )
 from .contraction import (
     DivergentLimitError,
@@ -273,7 +274,18 @@ def _cmd_verify_complete(args) -> int:
         raise InvalidFamilyError("verify-complete needs --m")
     extension = build_r_m(args.m, q)
     certificate = is_complete(extension)
-    _emit(json.dumps(certificate.to_json_dict(), indent=2), args.output)
+    torus_dim, multiplicities = weight_table(extension)
+    document = {
+        "algebra_dim": certificate.algebra_dim,
+        "center_dim": certificate.center_dim,
+        "der_dim": certificate.der_dim,
+        "torus_dim": torus_dim,
+        "complete": certificate.is_complete,
+        "weight_multiplicities": [
+            {"weight": [str(v) for v in weight], "dim": mult} for (weight, mult) in multiplicities
+        ],
+    }
+    _emit(json.dumps(document, indent=2), args.output)
     return 0 if certificate.is_complete else 1
 
 

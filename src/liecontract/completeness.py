@@ -101,41 +101,27 @@ def semidirect_product(L: LieAlgebra, torus: Sequence[Sequence[Fraction]]) -> Li
 
 @dataclass(frozen=True)
 class CompletenessCertificate:
-    """Exact data deciding completeness: center and derivation dimensions.
+    """Exact data deciding completeness: the center and derivation dimensions.
 
-    `torus_dim` and `weight_multiplicities` describe the algebra's own diagonal
-    weight system (weights are coordinates against the solution basis).
+    It carries the verdict only.  The diagonal weight system that
+    `verify-complete` prints beside it comes from `weight_table`.
     """
 
     center_dim: int
     der_dim: int
     algebra_dim: int
-    torus_dim: int
-    weight_multiplicities: tuple[tuple[tuple[Fraction, ...], int], ...]
 
     @property
     def is_complete(self) -> bool:
         return self.center_dim == 0 and self.der_dim == self.algebra_dim
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algebra_dim": self.algebra_dim,
-            "center_dim": self.center_dim,
-            "der_dim": self.der_dim,
-            "torus_dim": self.torus_dim,
-            "complete": self.is_complete,
-            "weight_multiplicities": [
-                {"weight": [str(v) for v in weight], "dim": mult}
-                for (weight, mult) in self.weight_multiplicities
-            ],
-        }
 
 
 def is_complete(L: LieAlgebra) -> CompletenessCertificate:
     """Certify completeness from the definition: centerless and dim Der = dim L.
 
     A trivial center makes ad injective, so the dimension equality forces
-    every derivation to be inner.
+    every derivation to be inner.  Only `center(L)` and `derivations(L)`
+    are solved; no weight system is.
 
     `der_dim` is exact, not a bound: `derivations` solves Der(L) as
     ad(L) + Der(L)_0, where t is spanned by the basis elements with diagonal
@@ -145,20 +131,28 @@ def is_complete(L: LieAlgebra) -> CompletenessCertificate:
     [ad h, D] = -ad(Dh); so for a(h) != 0, D_a = -ad(D_a h) / a(h) is inner.
     On rm(q..) the block Der(L)_0 is a small share of the n^2 unknowns.
     """
+    return CompletenessCertificate(
+        center_dim=center(L).dim,
+        der_dim=derivations(L).dim,
+        algebra_dim=L.dim,
+    )
+
+
+def weight_table(L: LieAlgebra) -> tuple[int, tuple[tuple[tuple[Fraction, ...], int], ...]]:
+    """(torus_dim, weight_multiplicities) of L's diagonal weight system, as `verify-complete` prints them.
+
+    torus_dim is the dimension of `weight_system(L)`.  The weight of basis
+    index i is the tuple of its coordinates in the canonical basis of that
+    system; the multiplicities count the indices of each weight, sorted by
+    weight.
+    """
     system = weight_system(L)
     basis = system.basis
     weights: dict[tuple[Fraction, ...], int] = {}
     for i in range(L.dim):
         weight = tuple(w[i] for w in basis)
         weights[weight] = weights.get(weight, 0) + 1
-    multiplicities = tuple(sorted(weights.items()))
-    return CompletenessCertificate(
-        center_dim=center(L).dim,
-        der_dim=derivations(L).dim,
-        algebra_dim=L.dim,
-        torus_dim=system.dim,
-        weight_multiplicities=multiplicities,
-    )
+    return system.dim, tuple(sorted(weights.items()))
 
 
 def build_r_m(m: int, q_list: tuple[int, ...] = ()) -> LieAlgebra:

@@ -4,15 +4,19 @@ Results are exact and reproducible: a subspace is held in a canonical form
 (unique for a given row space), subspaces compare equal iff their canonical
 rows are identical, and no pivot selection depends on magnitudes.
 
-The elimination core (`_echelon`) settles unit rows first.  A row with one
-nonzero entry, at column c, puts e_c in the span, so c is cut from every
-other row, and a row cut down to one entry settles its column in turn.  The
-result is unchanged: the cut rows and the e_c span the same space, and a
-space that holds e_c has e_c as its canonical row with lead c (that row
-minus e_c is zero at every pivot column, so it is zero), while no other
-canonical row holds c.  On the sparse systems of the families most rows
-are settled this way and never reach a row operation.  The rows that are
-left are eliminated as primitive integer rows (fraction-free elimination).
+The elimination core (`_echelon`) reads each input row once and never
+modifies it.  A row with one nonzero entry, at column c, is a unit row: it
+puts e_c in the span and settles c, and no dict is built for it.  Every
+other row becomes one working copy, with any column renumbering the caller
+asks for applied as it is copied, zeros dropped and denominators cleared.
+Settled columns are cut from the copies in place, and a copy cut down to
+one entry settles its column in turn.  The result is unchanged: the cut
+rows and the e_c span the same space, and a space that holds e_c has e_c
+as its canonical row with lead c (that row minus e_c is zero at every pivot
+column, so it is zero), while no other canonical row holds c.  On the
+sparse systems of the families most rows are settled this way and never
+reach a row operation.  The copies that are left are eliminated as
+primitive integer rows (fraction-free elimination).
 The core keeps its pivot rows reduced as rows arrive (incremental
 Gauss-Jordan, no back-substitution pass), so the pivot rows are the
 canonical RREF at every step.  An incoming row is reduced against all the
@@ -22,8 +26,7 @@ reduction, not after every step); since each pivot row is zero in the other
 pivot columns, that pass gives the same primitive row as eliminating the
 columns one at a time.  The same routine, over one column,
 clears a new lead from the older pivot rows.  A row may hold ints or
-Fractions: an integral row enters the core as it is, a rational one has its
-denominators cleared first.  The systems built from the brackets of a
+Fractions.  The systems built from the brackets of a
 `LieAlgebra` are integral already, because the algebra stores its structure
 tensor once, with the denominators cleared; only the powers of ad(x) behind
 the characteristic sequence still enter as `Fraction` rows.  `Subspace` keeps
@@ -31,14 +34,15 @@ the core's reduced rows as integers; `Fraction`s are built only at the
 dense boundary: `Subspace.basis` divides each row by its lead, and `rank` /
 `solve` normalise their own pivots.
 
-A kernel costs one elimination.  `nullspace_of_rows` eliminates the rows
-with their columns reversed (c -> n - 1 - c).  A reduced pivot row then
-holds, besides its lead, only free columns above it, so the kernel vector
-of a free column f holds f, with a positive entry, and otherwise only pivot
-columns below f: no other free column.  Reversed back, f is the vector's
-lead and the images of the other free columns, the leads of the other
-kernel vectors, are zero in it; made primitive, the vectors are the
-canonical rows of the kernel.  Canonical rows are also reused as they are:
+A kernel costs one elimination.  `nullspace_of_rows` has `_echelon` read
+the rows with their columns reversed (c -> n - 1 - c).  A reduced pivot row
+then holds, besides its lead, only free columns above it, so the kernel
+vector of a free column f holds f, with a positive entry, and otherwise
+only pivot columns below f: no other free column.  Reversed back, f is the
+vector's lead and the images of the other free columns, the leads of the
+other kernel vectors, are zero in it; made primitive, the vectors are the
+canonical rows of the kernel, and taking the free columns in descending
+order emits them in lead order.  Canonical rows are also reused as they are:
 `Subspace.is_subset` reduces against them as a ready echelon form, and
 `Subspace._from_canonical` takes rows already in canonical form.
 
@@ -81,27 +85,12 @@ def _coerce_vector(vector: Iterable) -> tuple[Fraction, ...]:
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """Divide out the content (gcd of the entries) of a nonzero integer row."""
+    """Divide out the content (gcd of the entries) of a nonzero integer row, in place."""
     g = gcd(*row.values())
-    if g == 1:
-        return row
-    return {c: v // g for c, v in row.items()}
-
-
-def _integer_row(raw: Mapping[int, int | Fraction]) -> dict[int, int]:
-    """The primitive integer multiple of a row of ints or Fractions, zeros dropped.
-
-    An all-int row is divided by its content and copied: no Fraction is built.
-    """
-    values = raw.values()
-    if Fraction in map(type, values):
-        den = lcm(*(v.denominator for v in values))
-        row = {c: v.numerator * (den // v.denominator) for c, v in raw.items() if v}
-        return _primitive(row) if row else row
-    g = gcd(*values)
-    if g == 1 and 0 not in values:
-        return dict(raw)
-    return {c: v // g for c, v in raw.items() if v} if g else {}
+    if g != 1:
+        for c in row:
+            row[c] //= g
+    return row
 
 
 def _reduce(
@@ -141,85 +130,43 @@ def _reduce(
     return _primitive(row) if row else row
 
 
-def _unit_column(row: Mapping[int, int | Fraction]) -> int | None:
-    """The column c of a unit row, a row with one entry, at c, and that entry nonzero; else None."""
-    if len(row) == 1:
-        ((c, v),) = row.items()
-        if v:
-            return c
-    return None
-
-
-def _settle_units(
-    rows: Iterable[Mapping[int, int | Fraction]], units: set[int]
-) -> list[Mapping[int, int | Fraction]]:
-    """The non-unit rows with every settled column cut out; `units` grows to every settled column.
-
-    `units` holds the columns of the unit rows of `rows` on entry.  A
-    settled column c puts e_c in the span, so c is cut from every row that
-    holds it.  A row cut down to a unit row settles its column in turn, and
-    a row cut down to nothing is dropped.  A queue of settled columns and a
-    column -> rows index make the cascade visit each entry once.  A row is
-    copied before its first cut, so the input rows are not modified.  A row
-    is a unit row only when it holds one entry: a cut row such as
-    {c: 3, d: 0} is eliminated as it stands, which changes the cost, not
-    the result.
-    """
-    live: list[Mapping[int, int | Fraction] | None] = []
-    holders: dict[int, list[int]] = {}
-    for row in rows:
-        if _unit_column(row) is None:
-            for c in row:
-                holders.setdefault(c, []).append(len(live))
-            live.append(row)
-    copied = [False] * len(live)
-    queue = list(units)
-    while queue:
-        settled = queue.pop()
-        for k in holders.pop(settled, ()):
-            row = live[k]
-            if row is None:
-                continue
-            if not copied[k]:
-                row = live[k] = dict(row)
-                copied[k] = True
-            del row[settled]
-            unit = _unit_column(row)
-            if unit is not None:
-                live[k] = None
-                if unit not in units:
-                    units.add(unit)
-                    queue.append(unit)
-            elif not row:
-                live[k] = None
-    return [row for row in live if row is not None]
-
-
-def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int, int]]:
+def _echelon(
+    rows: Iterable[Mapping[int, int | Fraction]], column: Sequence[int] | None = None
+) -> dict[int, dict[int, int]]:
     """Reduced echelon form of sparse rows of ints or Fractions, as {lead column: row}.
 
-    Unit rows are settled first.  A unit row, one nonzero entry at column c,
-    puts e_c in the span, so `_settle_units` cuts c from every other row and
-    follows the rows that this cuts down to unit rows in turn.  The cut rows
-    and the e_c span the same space as the input.  A space that holds e_c
-    has e_c as its canonical row with lead c: that row minus e_c lies in
-    the space and is zero at every pivot column, so it is zero.  The other
-    canonical rows are zero at c, a pivot column.  So the result is the
-    echelon form of the cut rows, which hold no settled column, plus the
-    pivot row {c: 1} for each settled column.  The column -> rows index is
-    built only when some unit row exists.
+    Each input row is read once.  Column c of an input row is column
+    `column[c]` of the system eliminated (c itself when `column` is None),
+    so a caller that renumbers the columns passes the map instead of copying
+    its rows.  A row with one nonzero entry, at c, is a unit row: it settles
+    column c and no dict is built for it.  Every other row is copied once,
+    with the map applied, zeros dropped and denominators cleared (a row
+    holding a Fraction is scaled by the lcm of its denominators); a copy
+    left with one entry settles that column too.  The input rows are not
+    modified, and no returned row is one of them.
 
-    The rows that are left are made primitive integer rows (`_integer_row`;
-    a cut row is made primitive again) and eliminated by incremental
-    Gauss-Jordan: the pivot rows are kept reduced at every step, and there
-    is no back-substitution pass.  Every row operation is one `_reduce`.  An
+    A settled column c puts e_c in the span, so c is cut from every copy
+    that holds it, in place; a copy cut down to one entry settles its column
+    in turn.  A queue of settled columns and a column -> copies index, built
+    only when some column is settled, make the cascade visit each entry
+    once.  The cut copies and the e_c span the same space as the input.  A
+    space that holds e_c has e_c as its canonical row with lead c: that row
+    minus e_c lies in the space and is zero at every pivot column, so it is
+    zero.  The other canonical rows are zero at c, a pivot column.  So the
+    result is the echelon form of the cut copies, which hold no settled
+    column, plus the pivot row {c: 1} for each settled column.
+
+    The copies that are left are eliminated by incremental Gauss-Jordan: the
+    pivot rows are kept reduced at every step, and there is no
+    back-substitution pass.  Every row operation is one `_reduce`.  An
     incoming row is reduced against all the pivot columns it holds in a
-    single pass.  Every pivot row is zero in the other pivot columns, so the
-    pass brings in no new pivot column and a dependent row reaches zero.
-    What is left, if anything, becomes the pivot row of its lead min(row),
-    made positive, and that column is cleared from each older pivot row that
-    holds it, one `_reduce` over that one column per older row.  Their leads
-    are smaller, so they keep their leads and signs.
+    single pass, which also makes it primitive; a row that holds none is
+    made primitive in place.  Every pivot row is zero in the other pivot
+    columns, so the pass brings in no new pivot column and a dependent row
+    reaches zero.  What is left, if anything, becomes the pivot row of its
+    lead min(row), made positive, and that column is cleared from each older
+    pivot row that holds it, one `_reduce` over that one column per older
+    row.  Their leads are smaller, so they keep their leads and signs.
 
     Every pivot row's columns lie at or above its own lead, so a new lead
     below `low`, the smallest lead so far, is held by no older row: only a
@@ -228,27 +175,68 @@ def _echelon(rows: Iterable[Mapping[int, int | Fraction]]) -> dict[int, dict[int
     So at every step each pivot row is primitive, has a positive lead at its
     minimum column and is zero in every other pivot column: it is the
     canonical RREF row times a positive integer, so the result is unique and
-    does not depend on the order of the rows.  The input rows are not
-    modified, and no returned row is one of them.
+    does not depend on the order of the rows.
     """
-    rows = list(rows)
-    units = {c for c in map(_unit_column, rows) if c is not None}
+    units: set[int] = set()
+    live: list[dict[int, int]] = []
+    for raw in rows:
+        if len(raw) == 1:
+            ((c, v),) = raw.items()
+            if v:
+                units.add(c if column is None else column[c])
+            continue
+        if Fraction in map(type, raw.values()):
+            den = lcm(*(v.denominator for v in raw.values()))
+            row = {
+                c if column is None else column[c]: v.numerator * (den // v.denominator)
+                for c, v in raw.items()
+                if v
+            }
+        elif column is None:
+            row = {c: v for c, v in raw.items() if v}
+        else:
+            row = {column[c]: v for c, v in raw.items() if v}
+        if len(row) > 1:
+            live.append(row)
+        elif row:
+            units.update(row)
     if units:
-        rows = _settle_units(rows, units)
+        holders: dict[int, list[dict[int, int]]] = {}
+        for row in live:
+            for c in row:
+                holders.setdefault(c, []).append(row)
+        queue = list(units)
+        while queue:
+            settled = queue.pop()
+            for row in holders.pop(settled, ()):
+                # A copy emptied below has settled its own column already.
+                if not row:
+                    continue
+                del row[settled]
+                if len(row) == 1:
+                    (unit,) = row
+                    row.clear()
+                    if unit not in units:
+                        units.add(unit)
+                        queue.append(unit)
+        live = [row for row in live if row]
     pivots: dict[int, dict[int, int]] = {}
     low = inf
     # Rows are taken by descending first column, so a new lead mostly lies
     # below `low` and the pivot rows need no scan.  The order changes the
     # cost, not the result.
-    for row in map(_integer_row, sorted(filter(None, rows), key=min, reverse=True)):
+    for row in sorted(live, key=min, reverse=True):
         held = row.keys() & pivots.keys()
         if held:
             row = _reduce(row, held, pivots)
-        if not row:
-            continue
+            if not row:
+                continue
+        else:
+            _primitive(row)
         lead = min(row)
         if row[lead] < 0:
-            row = {c: -v for c, v in row.items()}
+            for c in row:
+                row[c] = -row[c]
         pivots[lead] = row
         if lead < low:
             low = lead
@@ -266,15 +254,21 @@ def _rows_from_dense(entries: Sequence[Sequence[Fraction]]) -> list[dict[int, Fr
 
 
 def _integer_kernel(pivots: Mapping[int, Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
-    """Kernel basis of a reduced integer echelon form, one integer row per free column.
+    """Canonical kernel rows of a system from the echelon form of its column-reversed rows.
 
-    A pivot row p with lead l reads p_l x_l + sum_f p_f x_f = 0 over the free
-    columns f, so the kernel vector of f has x_f = 1 and x_l = -p_f / p_l.
-    One pass over the pivot entries collects those terms per free column; the
-    vector is then scaled by the lcm of the p_l it involves.
+    `pivots` is the reduced integer echelon form of the system with column c
+    renumbered ncols - 1 - c.  A pivot row p with lead l reads
+    p_l x_l + sum_f p_f x_f = 0 over the free columns f, so the kernel
+    vector of f has x_f = 1 and x_l = -p_f / p_l.  One pass over the pivot
+    entries collects those terms per free column; each vector is scaled by
+    the lcm of the p_l it involves, made primitive in place, and written in
+    the system's own columns.  Free columns are taken in descending order,
+    so the vectors come out in ascending order of their leads (see
+    `nullspace_of_rows`).
     """
+    last = ncols - 1
     terms: dict[int, list[tuple[int, int, int]]] = {
-        f: [] for f in range(ncols) if f not in pivots
+        f: [] for f in range(last, -1, -1) if f not in pivots
     }
     for lead, row in pivots.items():
         p = row[lead]
@@ -284,10 +278,10 @@ def _integer_kernel(pivots: Mapping[int, Mapping[int, int]], ncols: int) -> list
     kernel = []
     for f, entries in terms.items():
         den = lcm(*(p for _, _, p in entries))
-        vec = {f: den}
+        vec = {last - f: den}
         for lead, v, p in entries:
-            vec[lead] = -v * (den // p)
-        kernel.append(vec)
+            vec[last - lead] = -v * (den // p)
+        kernel.append(_primitive(vec))
     return kernel
 
 
@@ -362,21 +356,19 @@ def rank(matrix: Matrix) -> int:
 def nullspace_of_rows(rows: Iterable[Mapping[int, int | Fraction]], ncols: int) -> "Subspace":
     """Kernel of a sparse row system of ints or Fractions, as a canonical Subspace of Q^ncols.
 
-    One elimination: the rows enter `_echelon` with their columns reversed
-    (c -> ncols - 1 - c).  In that reduced form a pivot row holds its lead
-    and free columns above it, so by `_integer_kernel` the kernel vector of
-    a free column f holds f, with a positive entry, and otherwise only pivot
-    columns below f; it holds no other free column.  Mapped back, those
-    pivot columns land above the image of f, so that image is the vector's
-    lead, with a positive entry, and the vector is zero at the image of
-    every other free column, the lead of another kernel vector.  So the
-    vectors, made primitive and sorted by lead, are the canonical rows of
-    the kernel, one per free column, and need no second elimination.
+    One elimination: `_echelon` reads the rows with their columns reversed
+    (c -> ncols - 1 - c), as it copies them, and leaves the rows unmodified.
+    In that reduced form a pivot row holds its lead and free columns above
+    it, so by `_integer_kernel` the kernel vector of a free column f holds f,
+    with a positive entry, and otherwise only pivot columns below f; it
+    holds no other free column.  Mapped back, those pivot columns land above
+    the image of f, so that image is the vector's lead, with a positive
+    entry, and the vector is zero at the image of every other free column,
+    the lead of another kernel vector.  So the vectors, made primitive, are
+    the canonical rows of the kernel, one per free column; `_integer_kernel`
+    emits them in lead order, and no second elimination or sort is needed.
     """
-    last = ncols - 1
-    pivots = _echelon({last - c: v for c, v in row.items()} for row in rows)
-    kernel = [{last - c: v for c, v in _primitive(vec).items()} for vec in _integer_kernel(pivots, ncols)]
-    return Subspace._from_canonical(sorted(kernel, key=min), ncols)
+    return Subspace._from_canonical(_integer_kernel(_echelon(rows, range(ncols - 1, -1, -1)), ncols), ncols)
 
 
 def solve(matrix: Matrix, rhs: Sequence) -> tuple[Fraction, ...]:

@@ -9,10 +9,10 @@ that table (and ranked exactly, or mod a prime to bound the nullity from
 above), exponent vectors come from plain integer forward substitution,
 the Jacobi sum is swept over every basis triple from the Fraction fibers of
 the tensor, and a reduced row echelon form comes from textbook Gauss-Jordan
-on dense Fraction rows.  The lower central series, the derived algebra, the
-derived series, the center and the subalgebra generated by some basis
-vectors are spanned or solved from the same table and reduced by that
-Gauss-Jordan.  Nothing is imported from the package: an algebra is read
+on dense Fraction rows, which also reads off the reduced basis of a kernel.
+The lower central series, the derived algebra, the derived series, the
+center and the subalgebra generated by some basis vectors are spanned or
+solved from the same table and reduced by that Gauss-Jordan.  Nothing is imported from the package: an algebra is read
 only through `L.dim`, `L.entries()` and the public bracket.
 """
 
@@ -443,3 +443,22 @@ def random_basis(n: int, seed: int) -> list[list[int]]:
         P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         if len(rref_gauss_jordan([{c: v for c, v in enumerate(row) if v} for row in P], n)) == n:
             return P
+
+
+def kernel_by_gauss_jordan(rows, ncols: int) -> dict[int, dict[int, Fraction]]:
+    """The kernel of sparse rows as its reduced row echelon form {pivot column: row with 1 there}.
+
+    `rref_gauss_jordan` reduces the rows; the kernel vector of each free
+    column f has 1 at f and minus the entry at f of each pivot row at that
+    row's pivot column, and `rref_gauss_jordan` reduces those vectors in turn.
+    """
+    pivots = rref_gauss_jordan(rows, ncols)
+    vectors = []
+    for f in range(ncols):
+        if f not in pivots:
+            vec = {f: Fraction(1)}
+            for col, row in pivots.items():
+                if f in row:
+                    vec[col] = -row[f]
+            vectors.append(vec)
+    return rref_gauss_jordan(vectors, ncols)

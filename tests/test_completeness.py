@@ -1,4 +1,7 @@
+import json
+from dataclasses import fields
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -22,14 +25,16 @@ from liecontract.algebra import (
     to_json_dict,
 )
 from liecontract.completeness import (
+    CompletenessCertificate,
     build_r_m,
     diagonal_rank,
     is_complete,
     max_torus,
     semidirect_product,
     weight_system,
+    weight_table,
 )
-from liecontract.exactlin import Matrix, Subspace, _echelon, _integer_kernel, nullspace_of_rows
+from liecontract.exactlin import Matrix, nullspace_of_rows
 from liecontract.families import (
     all_q_lists,
     make_abelian,
@@ -38,7 +43,14 @@ from liecontract.families import (
     make_heisenberg_plus_abelian,
     make_model_filiform,
 )
-from oracles import _bruteforce_derivation_rows, derivation_by_brackets, derivation_nullity_bruteforce, in_basis
+from oracles import (
+    _bruteforce_derivation_rows,
+    derivation_by_brackets,
+    derivation_nullity_bruteforce,
+    in_basis,
+    kernel_by_gauss_jordan,
+    rref_gauss_jordan,
+)
 
 
 def unit(n, i):
@@ -256,17 +268,22 @@ def test_incomplete_algebras_are_reported_as_such():
 
 
 def test_certificate_multiplicities_cover_the_algebra():
-    cert = is_complete(build_r_m(4))
-    assert sum(mult for (_, mult) in cert.weight_multiplicities) == 11
-    assert cert.torus_dim == 2
-    mults = sorted(mult for (_, mult) in cert.weight_multiplicities)
+    torus_dim, multiplicities = weight_table(build_r_m(4))
+    assert sum(mult for (_, mult) in multiplicities) == 11
+    assert torus_dim == 2
+    mults = sorted(mult for (_, mult) in multiplicities)
     assert mults == [1] * 9 + [2]
     zero_weight = (Fraction(0), Fraction(0))
-    assert dict(cert.weight_multiplicities)[zero_weight] == 2
+    assert dict(multiplicities)[zero_weight] == 2
 
 
-def test_certificate_serialization():
-    doc = is_complete(build_r_m(4)).to_json_dict()
+def test_certificate_serialization(capsys):
+    # The certificate carries the verdict; verify-complete adds the weight
+    # table of the extension to the JSON it prints.
+    assert [f.name for f in fields(CompletenessCertificate)] == ["center_dim", "der_dim", "algebra_dim"]
+    assert cli.run(["verify-complete", "--m", "4"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert list(doc) == ["algebra_dim", "center_dim", "der_dim", "torus_dim", "complete", "weight_multiplicities"]
     assert doc["complete"] is True
     assert doc["algebra_dim"] == 11
     assert doc["center_dim"] == 0
@@ -279,6 +296,16 @@ def test_certificate_serialization():
     assert all(
         isinstance(v, str) for entry in doc["weight_multiplicities"] for v in entry["weight"]
     )
+    assert [
+        (tuple(map(Fraction, entry["weight"])), entry["dim"]) for entry in doc["weight_multiplicities"]
+    ] == list(weight_table(build_r_m(4))[1])
+
+
+def test_certifying_an_extension_solves_no_weight_system_of_it():
+    for m, q in [(4, ()), (5, (3,)), (6, (4, 6))]:
+        rm = build_r_m(m, q)
+        assert is_complete(rm).is_complete
+        assert weight_system.__wrapped__ not in rm._memo
 
 
 # Der(L) is solved as ad(L) + Der(L)_0 over the diagonal torus of L.  A torus
@@ -315,16 +342,29 @@ def test_derivations_of_torus_extensions_match_bruteforce(q):
 
 
 def derivations_by_one_span(L):
-    """Der(L) with the block kernel eliminated twice and its sum with the inner ad(X_i) once more."""
+    """Der(L) by textbook Gauss-Jordan: the block kernel, written back at r*n+c, reduced with the inner ad(X_i).
+
+    The block kernel is read off `kernel_by_gauss_jordan` of `_derivation_rows`,
+    which come in the block's own coordinates: the unknowns r*n+c with
+    w_r = w_c, in increasing order.
+    """
     n = L.dim
     weights = _torus_weights(L)
     block = [r * n + c for r in range(n) for c in range(n) if weights[r] == weights[c]]
-    index = {u: k for k, u in enumerate(block)}
-    rows = [{index[u]: v for u, v in row.items()} for row in _derivation_rows(L)]
-    kernel = Subspace._from_rows(_integer_kernel(_echelon(rows), len(block)), len(block))
-    spanning = [{block[k]: v for k, v in row.items()} for row in kernel._rows]
+    kernel = kernel_by_gauss_jordan(_derivation_rows(L), len(block))
+    spanning = [{block[k]: v for k, v in row.items()} for row in kernel.values()]
     inner = [{s * n + r: -c for (r, s, c) in L._adj[i]} for i in range(n) if any(weights[i])]
-    return Subspace._from_rows(spanning + inner, n * n)
+    return rref_gauss_jordan(spanning + inner, n * n)
+
+
+def rref_rows(space):
+    """The canonical rows of a Subspace divided by their leads, after checking each is primitive with a positive lead."""
+    out = {}
+    for row in space._rows:
+        lead = min(row)
+        assert row[lead] > 0 and gcd(*row.values()) == 1
+        out[lead] = {c: Fraction(v, row[lead]) for c, v in row.items()}
+    return out
 
 
 def test_merged_derivation_basis_is_the_canonical_span():
@@ -339,7 +379,7 @@ def test_merged_derivation_basis_is_the_canonical_span():
         algebras += [semidirect_product(g, part) for part in (torus[:1], torus[:-1])]
         algebras.append(_sheared(semidirect_product(g, torus), len(torus)))
     for L in algebras:
-        assert derivations(L)._rows == derivations_by_one_span(L)._rows
+        assert rref_rows(derivations(L)) == derivations_by_one_span(L)
 
 
 @pytest.mark.parametrize("m", range(4, 8))
@@ -400,3 +440,4 @@ def test_certifying_an_extension_builds_neither_its_derived_algebra_nor_its_seri
     assert bracket_calls == []
     assert derived_subalgebra.__wrapped__ not in extensions[0]._memo
     assert lower_central_series.__wrapped__ not in extensions[0]._memo
+    assert weight_system.__wrapped__ not in extensions[0]._memo

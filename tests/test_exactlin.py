@@ -7,7 +7,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from liecontract import exactlin
-from liecontract.algebra import LieAlgebra, _derivation_rows, bracket_subspaces, from_json_dict, to_json_dict
+from liecontract.algebra import (
+    LieAlgebra,
+    _derivation_rows,
+    bracket_subspaces,
+    derived_subalgebra,
+    from_json_dict,
+    to_json_dict,
+)
 from liecontract.exactlin import (
     DimensionError,
     LinearSolveError,
@@ -15,12 +22,11 @@ from liecontract.exactlin import (
     Subspace,
     nullspace_of_rows,
     _echelon,
-    _integer_kernel,
     rank,
     solve,
 )
 from liecontract.families import all_q_lists, make_g_m_q
-from oracles import in_basis, random_basis, rank_reverse_elimination, rref_gauss_jordan
+from oracles import in_basis, kernel_by_gauss_jordan, random_basis, rank_reverse_elimination, rref_gauss_jordan
 
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -254,6 +260,50 @@ def test_unit_rows_are_settled_to_the_rref(system):
     assert rref_of(pivots) == rref_gauss_jordan(rows, ncols)
 
 
+# `_echelon` reads each input row once: a unit row becomes a settled column,
+# any other row one working copy, with the caller's column map applied as it
+# is copied.  Whatever enters by `_echelon`, `nullspace_of_rows` or
+# `Subspace._from_rows` is left as it was, and no result row is an input row.
+
+
+def assert_unmodified(rows, before, result_rows):
+    assert rows == before
+    assert [list(map(type, row.values())) for row in rows] == [list(map(type, row.values())) for row in before]
+    assert not {id(row) for row in result_rows} & {id(row) for row in rows}
+
+
+@settings(max_examples=300, deadline=None)
+@given(unit_rich_systems(), st.randoms(use_true_random=False))
+# A cascade through Fraction rows under the reversal map.
+@example((3, [{0: 2, 1: 1}, {1: Fraction(3, 2), 2: 1}, {2: Fraction(1, 2)}]), random.Random(0))
+def test_no_input_row_is_modified(system, rnd):
+    ncols, rows = system
+    before = copy.deepcopy(rows)
+    column = list(range(ncols))
+    rnd.shuffle(column)
+    pivots = _echelon(rows, column)
+    assert_unmodified(rows, before, pivots.values())
+    assert rref_of(pivots) == rref_gauss_jordan([{column[c]: v for c, v in row.items()} for row in rows], ncols)
+    kernel = nullspace_of_rows(rows, ncols)
+    assert_unmodified(rows, before, kernel._rows)
+    assert rref_of({min(row): row for row in kernel._rows}) == kernel_by_gauss_jordan(rows, ncols)
+    span = Subspace._from_rows(rows, ncols)
+    assert_unmodified(rows, before, span._rows)
+    assert rref_of({min(row): row for row in span._rows}) == rref_gauss_jordan(rows, ncols)
+
+
+def test_the_derived_algebra_leaves_the_tensor_unmodified():
+    # `derived_subalgebra` hands the algebra's own fibers to `_echelon`; many
+    # of them are unit rows, and the rest hold columns those settle.
+    g = make_g_m_q(4, (4,))
+    dense = from_json_dict(in_basis(to_json_dict(g), random_basis(g.dim, 1)))
+    for L in [make_g_m_q(m, q) for m in (4, 5, 6) for q in [()] + list(all_q_lists(m, 2))] + [dense]:
+        before = copy.deepcopy(L._tensor)
+        derived = derived_subalgebra(L)
+        assert L._tensor == before
+        assert not {id(row) for row in derived._rows} & {id(fiber) for fiber in L._tensor.values()}
+
+
 def counting_calls(monkeypatch, name, record):
     """Wrap the core's row operation `name`; the returned list gets record(*args) per call."""
     calls = []
@@ -364,10 +414,12 @@ def test_one_pass_over_three_pivots_with_coprime_leads():
     assert pivots == {0: {0: 2, 3: 1}, 1: {1: 3, 3: 1, 4: -1}, 2: {2: 5, 3: 1, 4: 1}}
     results = []
     for row in (dependent, independent, with_content):
-        by_column = exactlin._integer_row(row)
+        # Each row is primitive already; its explicit zero is dropped.
+        nonzero = {c: v for c, v in row.items() if v}
+        by_column = dict(nonzero)
         for col in (0, 1, 2):
             by_column = exactlin._reduce(by_column, (col,), pivots)
-        assert exactlin._reduce(exactlin._integer_row(row), {0, 1, 2}, pivots) == by_column
+        assert exactlin._reduce(dict(nonzero), {0, 1, 2}, pivots) == by_column
         results.append(by_column)
     # dependent: every r_c is a multiple of p_c, so m = 1 and f = (1, 1, 1).
     # The other two: m = lcm(1, 3, 5) = 15 and f = (15, 5, 3), which leaves
@@ -424,18 +476,33 @@ def test_nullspace_of_rows_matches_dense():
 
 
 # nullspace_of_rows eliminates once, on the column-reversed rows, and reads
-# the canonical kernel rows off that echelon form.  The reference below
-# eliminates twice: the rows as they are, then the kernel vectors that
-# `_integer_kernel` reads off the first echelon form.
+# the canonical kernel rows off that echelon form.  The references below
+# share nothing with it: vectors in canonical echelon form (primitive
+# integer rows with positive, increasing leads, each zero at the other
+# leads) that lie in the kernel and number ncols minus the rank of the
+# oracle's reverse eliminator are its canonical basis; on small systems the
+# kernel is also read off textbook Gauss-Jordan.
+
+
+def assert_canonical_rows(rows):
+    """`rows` are canonical Subspace rows: primitive ints, positive increasing leads, zero at the other leads."""
+    leads = [min(row) for row in rows]
+    assert leads == sorted(set(leads))
+    for lead, row in zip(leads, rows):
+        assert all(type(v) is int and v for v in row.values())
+        assert row[lead] > 0 and gcd(*row.values()) == 1
+        assert row.keys() & set(leads) == {lead}
 
 
 def assert_kernel_is_the_canonical_span(rows, ncols):
     kernel = nullspace_of_rows(rows, ncols)
-    reference = Subspace._from_rows(_integer_kernel(_echelon(rows), ncols), ncols)
-    assert kernel._rows == reference._rows
+    assert_canonical_rows(kernel._rows)
     for vec in kernel._rows:
         for row in rows:
             assert sum(v * row.get(c, 0) for c, v in vec.items()) == 0
+    nonzero = [{c: v for c, v in row.items() if v} for row in rows]
+    assert kernel.dim == ncols - rank_reverse_elimination(nonzero)
+    return kernel
 
 
 @st.composite
@@ -461,7 +528,8 @@ def kernel_systems(draw):
 @example((4, [{0: 1, 3: -1}, {1: 1, 2: -1}]))
 def test_one_elimination_gives_the_canonical_kernel(system):
     ncols, rows = system
-    assert_kernel_is_the_canonical_span(rows, ncols)
+    kernel = assert_kernel_is_the_canonical_span(rows, ncols)
+    assert rref_of({min(row): row for row in kernel._rows}) == kernel_by_gauss_jordan(rows, ncols)
 
 
 def test_the_kernel_vectors_are_made_primitive():
