@@ -329,7 +329,7 @@ def _cmd_check(args) -> int:
     )
 
     torus = max_torus(target)
-    rank = len(torus)
+    rank = torus.dim
     b1 = betti1(target)
     bounds_ok = 2 < rank <= m + 1
     maximal_expected = len(q) == 1 and q[0] == m + 1
@@ -374,7 +374,7 @@ def _table_row(m: int, q: tuple[int, ...]) -> dict:
     algebra = make_g_m_q(m, q)
     series = lower_central_series(algebra)
     torus = max_torus(algebra)
-    rank = len(torus)
+    rank = torus.dim
     b1 = betti1(algebra)
     certificate = is_complete(semidirect_product(algebra, torus))
     return {

@@ -12,11 +12,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Sequence
 
 from .algebra import LieAlgebra, _per_algebra, center, derivations
-from .exactlin import Subspace, _coerce, nullspace_of_rows
+from .exactlin import Subspace, nullspace_of_rows
 from .families import make_g_m_q
+
+
+def _weight_row(i: int, j: int, k: int, shift: int = 0) -> dict[int, int]:
+    """The integer row of w_i + w_j - w_k, with w_c in column c + shift.
+
+    The coefficients are +1 and -1; k = i or j cancels a term.
+    """
+    row = {i + shift: 1, j + shift: 1}
+    if k + shift in row:
+        del row[k + shift]
+    else:
+        row[k + shift] = -1
+    return row
 
 
 @_per_algebra
@@ -24,20 +36,10 @@ def weight_system(L: LieAlgebra) -> Subspace:
     """Solutions w of w_i + w_j = w_k, one equation per nonzero tensor entry.
 
     Only the support of the stored tensor is read, so no constant is turned
-    back into a Fraction.  The rows are integral (coefficients +1 and -1;
-    k = i or j cancels a term).  The solution space comes back in canonical
-    echelon form, computed once per algebra.
+    back into a Fraction, and each row is a `_weight_row`.  The solution
+    space comes back in canonical echelon form, computed once per algebra.
     """
-    rows = []
-    for (i, j), fiber in L._tensor.items():
-        for k in fiber:
-            row = {i: 1, j: 1}
-            if k in row:
-                del row[k]
-            else:
-                row[k] = -1
-            rows.append(row)
-    return nullspace_of_rows(rows, L.dim)
+    return nullspace_of_rows([_weight_row(i, j, k) for (i, j), fiber in L._tensor.items() for k in fiber], L.dim)
 
 
 def diagonal_rank(L: LieAlgebra) -> int:
@@ -56,42 +58,52 @@ def diagonal_rank(L: LieAlgebra) -> int:
     return weight_system(L).dim
 
 
-def max_torus(L: LieAlgebra) -> tuple[tuple[Fraction, ...], ...]:
-    """Weight vectors of the torus generators: the canonical weight-system basis."""
-    return weight_system(L).basis
+def max_torus(L: LieAlgebra) -> Subspace:
+    """The torus of diagonal derivations: `weight_system(L)`, whose canonical rows are the generators' weights."""
+    return weight_system(L)
 
 
-def semidirect_product(L: LieAlgebra, torus: Sequence[Sequence[Fraction]]) -> LieAlgebra:
+def semidirect_product(L: LieAlgebra, torus: Subspace) -> LieAlgebra:
     """Extend L by the torus: [h_a, X_i] = w_a[i] X_i, [h_a, h_b] = 0.
 
-    Torus coordinates come first in the product basis.  Raises ValueError when
-    a generator has the wrong length or is not a derivation of L; this is
-    where a torus enters, so its generators are checked here.  diag(w) is a
-    derivation iff w_i + w_j = w_k for every nonzero C^k_ij, the equations
-    `weight_system(L)` solves once per algebra, so a generator is checked by
-    membership in that solved space.  Each weight is read as `Fraction(v)`,
-    as `LieAlgebra` reads its structure constants.  L itself must be a Lie
-    law, checked once where it entered (`from_brackets`, which the families
-    and `from_json_dict` call).  The product is then Lie by construction:
-    diagonal derivations commute, and commuting derivations give a Lie
-    semidirect product, so its Jacobi identity is not swept again.
+    The torus is a Subspace of Q^n, and its canonical rows, in lead order,
+    give the generators: w_a is canonical row a divided by its lead.  Torus
+    coordinates come first in the product basis.  Raises ValueError when
+    the torus has the wrong ambient dimension or is not a space of
+    derivations of L; this is where a torus enters, so it is checked here.
+    diag(w) is a derivation iff w_i + w_j = w_k for every nonzero C^k_ij,
+    the equations `weight_system(L)` solves once per algebra, so the check
+    is `is_subset` of that space.  It reduces each row against the space's
+    canonical rows and eliminates nothing; handed `weight_system(L)` itself,
+    as `max_torus` hands it, each row reduces to zero in one pass.
+
+    The product's constants are those of L and the weights v / lead.  A
+    canonical row is primitive, so each prime p dividing its lead leaves
+    some entry v prime to p, and the reduced denominators of the row's
+    weights have the lead itself as their lcm.  So the product's `_den` is
+    lcm(L._den, leads), L's stored integers are rescaled to it, and no
+    constant is turned into a Fraction.
+
+    L itself must be a Lie law, checked once where it entered
+    (`from_brackets`, which the families and `from_json_dict` call).  The
+    product is then Lie by construction: diagonal derivations commute, and
+    commuting derivations give a Lie semidirect product, so its Jacobi
+    identity is not swept again.
     """
-    s = len(torus)
     n = L.dim
-    if any(len(w) != n for w in torus):
+    if torus.ambient_dim != n:
         raise ValueError("torus generator length does not match algebra dimension")
-    rows = [{i: f for i, f in enumerate(map(_coerce, w)) if f} for w in torus]
-    if not Subspace._from_rows(rows, n).is_subset(weight_system(L)):
+    if not torus.is_subset(weight_system(L)):
         raise ValueError("torus generator is not a derivation of the algebra")
-    # The product's constants are those of L and the weights, so its `_den`
-    # is the lcm of theirs, and L's stored integers are rescaled to it: no
-    # constant is turned back into a Fraction.
-    den = lcm(L._den, *(f.denominator for row in rows for f in row.values()))
+    rows = torus._rows
+    s = len(rows)
+    leads = [row[min(row)] for row in rows]
+    den = lcm(L._den, *leads)
     scale = den // L._den
     tensor: dict[tuple[int, int], dict[int, int]] = {}
-    for a, row in enumerate(rows):
-        for i, f in row.items():
-            tensor[(a, s + i)] = {s + i: f.numerator * (den // f.denominator)}
+    for a, (row, lead) in enumerate(zip(rows, leads)):
+        for i in sorted(row):
+            tensor[(a, s + i)] = {s + i: row[i] * (den // lead)}
     for (i, j) in sorted(L._tensor):
         fiber = L._tensor[(i, j)]
         tensor[(s + i, s + j)] = {s + k: fiber[k] * scale for k in sorted(fiber)}
@@ -143,16 +155,17 @@ def weight_table(L: LieAlgebra) -> tuple[int, tuple[tuple[tuple[Fraction, ...], 
 
     torus_dim is the dimension of `weight_system(L)`.  The weight of basis
     index i is the tuple of its coordinates in the canonical basis of that
-    system; the multiplicities count the indices of each weight, sorted by
-    weight.
+    system, entry i of each canonical row divided by the row's lead, read
+    off the integer rows; the multiplicities count the indices of each
+    weight, sorted by weight.
     """
-    system = weight_system(L)
-    basis = system.basis
+    rows = weight_system(L)._rows
+    leads = [row[min(row)] for row in rows]
     weights: dict[tuple[Fraction, ...], int] = {}
     for i in range(L.dim):
-        weight = tuple(w[i] for w in basis)
+        weight = tuple(Fraction(row.get(i, 0), lead) for row, lead in zip(rows, leads))
         weights[weight] = weights.get(weight, 0) + 1
-    return system.dim, tuple(sorted(weights.items()))
+    return len(rows), tuple(sorted(weights.items()))
 
 
 def build_r_m(m: int, q_list: tuple[int, ...] = ()) -> LieAlgebra:

@@ -2,9 +2,13 @@
 
 A contraction here is a curve of basis scalings f_t(X_i) = t^(a_i) X_i applied
 to a fixed law; each structure constant picks up a power of t and the limit
-t -> infinity keeps exactly the exponent-zero entries.  The exponent vectors
-come from an integer linear system with one equation per chain bracket, two
-free parameters, and a -1 offset on every bracket scheduled for deletion.
+t -> infinity keeps exactly the exponent-zero entries.  An exponent vector is
+a kernel row of the homogenised weight equations of gm: one integer row
+a_i + a_j - a_k per entry (i, j, k) of the bracket table that
+`families.chain_and_pairing_table` writes, plus the unknown h when the target
+drops that entry, and two pins a_2 = N1 h, a_3 = N2 h.  `nullspace_of_rows`,
+the elimination core every other system goes through, solves it, and the
+kernel row with h = 1 is the vector.
 """
 
 from __future__ import annotations
@@ -15,8 +19,8 @@ from typing import Sequence
 
 from . import completeness
 from .algebra import LieAlgebra, center, derivations, derived_subalgebra
-from .exactlin import DimensionError
-from .families import deleted_chain_targets, validate_q_list
+from .exactlin import DimensionError, LinearSolveError, nullspace_of_rows
+from .families import chain_and_pairing_table, deleted_chain_targets, validate_q_list
 
 
 class DivergentLimitError(ValueError):
@@ -40,67 +44,72 @@ class ParametricLaw:
         }
 
 
-def _affine_solution(m: int, minus_one_targets: set[int]) -> list[tuple[int, int, int]]:
-    """Exponents a_1..a_{2m+1} as affine triples (c0, c1, c2) over (1, N1, N2).
+def _exponent_rows(m: int, dropped: set[int]) -> list[dict[int, int]]:
+    """The homogenised weight equations of the contraction of gm that drops the chain targets `dropped`.
 
-    Forward substitution through the chain equations a_1 + a_{j-1} - a_j = 0
-    (or -1 for scheduled deletions), anchored at a_2 = N1, a_3 = N2; the top
-    entry is a_{2m+1} = a_2 + a_{2m-1}.
+    One row per entry (i, j, k) of gm's bracket table, as
+    `families.chain_and_pairing_table` writes it: column 0 is the
+    homogenising unknown h and column i + 1 is a_i.  The row holds
+    a_i + a_j - a_k (the row of `completeness.weight_system`, one column
+    over), plus h when the target's table (the same builder, with
+    `dropped`) drops the entry.  At h = 1 a kept entry scales with exponent 0 and a dropped one
+    with exponent -1.
     """
-    a: dict[int, tuple[int, int, int]] = {2: (0, 1, 0), 3: (0, 0, 1)}
-    step3 = -1 if 3 in minus_one_targets else 0
-    a[1] = (step3, -1, 1)
-    for j in range(4, 2 * m + 1):
-        c0, c1, c2 = a[j - 1]
-        d0, d1, d2 = a[1]
-        bump = 1 if j in minus_one_targets else 0
-        a[j] = (c0 + d0 + bump, c1 + d1, c2 + d2)
-    c0, c1, c2 = a[2 * m - 1]
-    a[2 * m + 1] = (c0, c1 + 1, c2)
-    return [a[i] for i in range(1, 2 * m + 2)]
+    target = chain_and_pairing_table(m, dropped)
+    rows = []
+    for (i, j), fiber in chain_and_pairing_table(m, set()).items():
+        for k in fiber:
+            row = completeness._weight_row(i, j, k, 1)
+            if k not in target.get((i, j), ()):
+                row[0] = 1
+            rows.append(row)
+    return rows
 
 
-def _exponents_at(affine: list[tuple[int, int, int]], n1: int, n2: int) -> tuple[int, ...]:
-    """Evaluate the affine exponent triples at N1 = n1, N2 = n2."""
-    return tuple(c0 + c1 * n1 + c2 * n2 for (c0, c1, c2) in affine)
+def _pinned_exponents(rows: list[dict[int, int]], dim: int, n1: int, n2: int) -> tuple[int, ...]:
+    """The exponents a_1..a_dim of the one kernel row of `rows` pinned by a_2 = n1 h, a_3 = n2 h, read at h = 1.
 
-
-def _cut_solution(m: int, q_list: Sequence[int]) -> list[tuple[int, int, int]]:
-    """The affine exponent triples of the chain system that reaches g_m(q..)."""
-    q_list = tuple(q_list)
-    validate_q_list(m, q_list)
-    return _affine_solution(m, deleted_chain_targets(m, q_list))
+    Raises LinearSolveError unless the pinned kernel is one canonical row
+    with h = 1: such a row is primitive with its lead at h, so the exponents
+    at h = 1 are its other entries, all integers.
+    """
+    kernel = nullspace_of_rows(rows + [{0: -n1, 2: 1}, {0: -n2, 3: 1}], dim + 1)._rows
+    if len(kernel) != 1 or kernel[0].get(0) != 1:
+        raise LinearSolveError("the exponent system has no unique integral solution at h = 1")
+    return tuple(kernel[0].get(c, 0) for c in range(1, dim + 1))
 
 
 def solve_exponents(m: int, q_list: tuple[int, ...] = (), n1: int = 1, n2: int = 1) -> tuple[int, ...]:
     """Exponents a with f_t(X_i) = t^(a[i]) X_i reaching g_m(q..) from the uncut chain.
 
-    The two parameters pin a_2 = n1 and a_3 = n2 (both remain free in the
-    underlying system; when 3 is itself a cut target the same pinning applies
-    and a_1 absorbs the -1 offset).  Entry a_{2m+1} = a_2 + a_{2m-1} makes
-    every pairing entry scale with exponent 0.
+    The exponents are the kernel row, at h = 1, of the homogenised weight
+    equations on gm's bracket table (`_exponent_rows`: exponent 0 on each
+    entry g_m(q..) keeps, -1 on each it drops) together with the pins
+    a_2 - n1 h and a_3 - n2 h, solved by `nullspace_of_rows`.  Unpinned,
+    that kernel has dimension 3, with h, a_2 and a_3 as coordinates
+    (`check_redundancy`), so the pinned kernel is one row.  Raises
+    LinearSolveError if it is not one row with h = 1.
     """
-    return _exponents_at(_cut_solution(m, q_list), n1, n2)
+    q_list = tuple(q_list)
+    validate_q_list(m, q_list)
+    return _pinned_exponents(_exponent_rows(m, deleted_chain_targets(m, q_list)), 2 * m + 1, n1, n2)
 
 
 def check_redundancy(m: int, q_list: tuple[int, ...]) -> bool:
     """Whether the pairing-balance equations hold for every (N1, N2) choice.
 
-    Checks a_j + a_{2m+1-j} = a_{j+1} + a_{2m-j} for 2 <= j <= m-1 as an
-    identity of affine forms in the two parameters, so the answer covers all
-    integer parameter choices at once.
+    The chain rows of the unpinned exponent system (`_exponent_rows`), one
+    per target j = 3..2m, each bring in a new unknown a_j, and the pairing
+    row of [X_2, X_{2m-1}] brings in a_{2m+1}.  These rows are independent
+    and leave h, a_1 and a_2 free (equivalently h, N1 = a_2 and N2 = a_3),
+    so the kernel has dimension at most 3.  It is 3 exactly when every other
+    pairing row follows from them, that is when the pairing balance holds
+    as an identity in h, N1 and N2: one `nullspace_of_rows` decides it for
+    every parameter choice at once.
     """
-    affine = _cut_solution(m, q_list)
-
-    def at(index: int) -> tuple[int, int, int]:
-        return affine[index - 1]
-
-    for j in range(2, m):
-        left = tuple(x + y for x, y in zip(at(j), at(2 * m + 1 - j)))
-        right = tuple(x + y for x, y in zip(at(j + 1), at(2 * m - j)))
-        if left != right:
-            return False
-    return True
+    q_list = tuple(q_list)
+    validate_q_list(m, q_list)
+    return nullspace_of_rows(_exponent_rows(m, deleted_chain_targets(m, q_list)), 2 * m + 2).dim == 3
 
 
 def scale_law(L: LieAlgebra, a: Sequence[int]) -> ParametricLaw:
@@ -144,12 +153,11 @@ def limit_law(P: ParametricLaw) -> LieAlgebra:
 def heisenberg_exponents(m: int) -> tuple[int, ...]:
     """Exponents degenerating the uncut chain algebra all the way to Heisenberg plus C^2.
 
-    Every chain bracket is scheduled for deletion (cut targets 3..2m-1 plus an
-    extra -1 equation at 2m), so only the pairing brackets survive.
+    The same solve as `solve_exponents` at n1 = n2 = 1, with every chain
+    target 3..2m dropped, so only the pairing brackets survive.
     """
     validate_q_list(m, ())
-    targets = set(range(3, 2 * m + 1))
-    return _exponents_at(_affine_solution(m, targets), 1, 1)
+    return _pinned_exponents(_exponent_rows(m, set(range(3, 2 * m + 1))), 2 * m + 1, 1, 1)
 
 
 @dataclass(frozen=True)

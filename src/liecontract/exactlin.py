@@ -30,9 +30,12 @@ Fractions.  The systems built from the brackets of a
 `LieAlgebra` are integral already, because the algebra stores its structure
 tensor once, with the denominators cleared; only the powers of ad(x) behind
 the characteristic sequence still enter as `Fraction` rows.  `Subspace` keeps
-the core's reduced rows as integers; `Fraction`s are built only at the
-dense boundary: `Subspace.basis` divides each row by its lead, and `rank` /
-`solve` normalise their own pivots.
+the core's reduced rows as integers, and the package reads a kernel off
+those rows: a torus extension takes a torus's canonical rows and their
+leads, and the contraction exponents are the one kernel row of their system
+at h = 1.  `Fraction`s are built only at the dense boundary:
+`Subspace.basis` and `completeness.weight_table` divide each row by its
+lead, and `rank` / `solve` normalise their own pivots.
 
 A kernel costs one elimination.  `nullspace_of_rows` has `_echelon` read
 the rows with their columns reversed (c -> n - 1 - c).  A reduced pivot row

@@ -43,12 +43,18 @@ def deleted_chain_targets(m: int, q_list: tuple[int, ...]) -> set[int]:
     return deleted
 
 
-def _chain_and_pairing_law(m: int, deleted: set[int]) -> LieAlgebra:
-    # 1-based: [X1, X_j] = X_{j+1} for 2 <= j <= 2m-1 unless j+1 is cut, and
-    # [X_j, X_{2m+1-j}] = (-1)^j X_{2m+1} for 2 <= j <= m.  Stored 0-based.
+def chain_and_pairing_table(m: int, deleted: set[int]) -> dict[tuple[int, int], dict[int, int]]:
+    """The bracket table of the chain-and-pairing law of dimension 2m+1, 0-based.
+
+    1-based: [X1, X_j] = X_{j+1} for 2 <= j <= 2m-1 unless j+1 is in
+    `deleted`, and [X_j, X_{2m+1-j}] = (-1)^j X_{2m+1} for 2 <= j <= m.  The
+    laws of gm, gm(q..) and h_{m-1} + C^2 are built from it, and the
+    contraction exponents are solved on it (`contraction.solve_exponents`).
+    A new table is built on each call, so the law built from it may keep it.
+    """
     tensor = {(0, j - 1): {j: 1} for j in range(2, 2 * m) if j + 1 not in deleted}
     tensor.update({(j - 1, 2 * m - j): {2 * m: (-1) ** j} for j in range(2, m + 1)})
-    return from_brackets(2 * m + 1, tensor)
+    return tensor
 
 
 def make_g_m(m: int) -> LieAlgebra:
@@ -65,7 +71,7 @@ def make_g_m_q(m: int, q_list: tuple[int, ...]) -> LieAlgebra:
     """
     q_list = tuple(q_list)
     validate_q_list(m, q_list)
-    return _chain_and_pairing_law(m, deleted_chain_targets(m, q_list))
+    return from_brackets(2 * m + 1, chain_and_pairing_table(m, deleted_chain_targets(m, q_list)))
 
 
 def make_model_filiform(n: int) -> LieAlgebra:
@@ -83,7 +89,7 @@ def make_heisenberg_plus_abelian(m: int) -> LieAlgebra:
     """
     if m < 2:
         raise InvalidFamilyError("heisenberg family requires m >= 2")
-    return _chain_and_pairing_law(m, set(range(3, 2 * m + 1)))
+    return from_brackets(2 * m + 1, chain_and_pairing_table(m, set(range(3, 2 * m + 1))))
 
 
 def make_abelian(n: int) -> LieAlgebra:

@@ -34,7 +34,7 @@ from liecontract.completeness import (
     weight_system,
     weight_table,
 )
-from liecontract.exactlin import Matrix, nullspace_of_rows
+from liecontract.exactlin import Matrix, Subspace, nullspace_of_rows
 from liecontract.families import (
     all_q_lists,
     make_abelian,
@@ -123,8 +123,13 @@ def test_rank_is_bounded_by_betti1():
 
 def torus_weights(L):
     """The weight of each basis vector under the torus of `max_torus`, one tuple per index."""
-    torus = max_torus(L)
+    torus = max_torus(L).basis
     return [tuple(w[i] for w in torus) for i in range(L.dim)]
+
+
+def partial_tori(torus):
+    """The tori spanned by the first generator of `torus` and by all its generators but the last."""
+    return [Subspace(torus.ambient_dim, part) for part in (torus.basis[:1], torus.basis[:-1])]
 
 
 def test_torus_weights_are_pairwise_distinct_on_the_families():
@@ -153,7 +158,9 @@ def test_a_repeated_weight_makes_the_diagonal_rank_a_lower_bound():
 
 
 def test_max_torus_of_abelian_is_everything():
-    assert max_torus(make_abelian(3)) == (
+    torus = max_torus(make_abelian(3))
+    assert torus == Subspace.full(3)
+    assert torus.basis == (
         tuple(unit(3, 0)),
         tuple(unit(3, 1)),
         tuple(unit(3, 2)),
@@ -162,7 +169,8 @@ def test_max_torus_of_abelian_is_everything():
 
 def test_max_torus_generators_are_derivations():
     for g in GRID:
-        for w in max_torus(g):
+        assert max_torus(g) is weight_system(g)
+        for w in max_torus(g).basis:
             diag = Matrix([[w[r] if r == c else 0 for c in range(g.dim)] for r in range(g.dim)])
             assert is_derivation(g, diag)
 
@@ -175,26 +183,31 @@ def test_torus_extension_satisfies_jacobi():
 
 def test_semidirect_with_empty_torus_is_identity():
     g4 = make_g_m(4)
-    assert semidirect_product(g4, ()) == g4
+    assert semidirect_product(g4, Subspace(9)) == g4
 
 
 def test_semidirect_rejects_non_derivations():
     heis = make_model_filiform(3)
     with pytest.raises(ValueError, match="not a derivation"):
-        semidirect_product(heis, ((Fraction(1), Fraction(0), Fraction(0)),))
+        semidirect_product(heis, Subspace(3, [[1, 0, 0]]))
     with pytest.raises(ValueError, match="length"):
-        semidirect_product(heis, ((Fraction(1), Fraction(0)),))
-    # Every generator is checked, not only the first.
+        semidirect_product(heis, Subspace(2, [[1, 0]]))
+    # Every generator is checked, not only the first: the torus below has the
+    # derivation diag(1, 0, 1) as its first canonical row and diag(0, 1, 0),
+    # which is none, as its second.
+    assert semidirect_product(heis, Subspace(3, [[1, 0, 1]])).dim == 4
+    bad_second = Subspace(3, [[1, 0, 1], [0, 1, 0]])
+    assert bad_second.basis == ((1, 0, 1), (0, 1, 0))
     with pytest.raises(ValueError, match="not a derivation"):
-        semidirect_product(heis, ((Fraction(1), Fraction(0), Fraction(1)), (Fraction(1), Fraction(0), Fraction(0))))
+        semidirect_product(heis, bad_second)
 
 
 def test_integer_torus_builds_the_same_extension_as_its_fraction_form():
     g = make_g_m_q(5, (3,))
     torus = max_torus(g)
-    integral = tuple(tuple(int(v) for v in w) for w in torus)
-    assert integral == torus and any(v < 0 for w in integral for v in w)
-    extension = semidirect_product(g, integral)
+    integral = tuple(tuple(int(v) for v in w) for w in torus.basis)
+    assert integral == torus.basis and any(v < 0 for w in integral for v in w)
+    extension = semidirect_product(g, Subspace(g.dim, integral))
     assert extension == semidirect_product(g, torus)
     assert extension.basis_labels == build_r_m(5, (3,)).basis_labels
 
@@ -209,20 +222,24 @@ def law_through_the_constructor(L):
 
 def test_an_extension_built_from_the_scaled_tensor_is_the_law_the_constructor_builds():
     # semidirect_product rescales the stored integers of L to the lcm of L's
-    # denominator and the weights' denominators, with no Fraction round trip.
+    # denominator and the leads of the torus rows, with no Fraction round trip.
     extensions = []
     for m in range(4, 8):
         for q in [()] + all_q_lists(m, 2):
             g = make_g_m_q(m, q)
             torus = max_torus(g)
-            extensions += [semidirect_product(g, part) for part in (torus, torus[:1], torus[:-1])]
-    # Weights in Z/2 on a law whose constants have denominator 3: the product's
-    # denominator is 6, so both the weights and the constants of L are rescaled.
+            extensions += [semidirect_product(g, part) for part in [torus] + partial_tori(torus)]
+    # A torus row with lead 2 on a law whose constants have denominator 3: the
+    # product's denominator is 6, so both the weights and the constants of L
+    # are rescaled.
     g = make_g_m_q(4, (4,))
     thirds = LieAlgebra(g.dim, {(i, j): {k: Fraction(c, 3)} for (i, j, k, c) in g.entries()})
-    halves = tuple(tuple(Fraction(v, 2) for v in w) for w in max_torus(g))
-    assert thirds._den == 3 and any(v.denominator == 2 for w in halves for v in w)
-    extensions += [semidirect_product(g, halves), semidirect_product(thirds, halves)]
+    b = max_torus(g).basis
+    lead_two = Subspace(g.dim, [[2 * x + y for x, y in zip(b[0], b[1])]])
+    (row,) = lead_two._rows
+    assert thirds._den == 3 and row[min(row)] == 2
+    extensions += [semidirect_product(g, lead_two), semidirect_product(thirds, lead_two)]
+    assert extensions[-2]._den == 2
     assert extensions[-1]._den == 6
     for L in extensions:
         rebuilt = law_through_the_constructor(L)
@@ -332,8 +349,8 @@ def test_derivations_of_torus_extensions_match_bruteforce(q):
     # The full torus, its first generator and all generators but the last,
     # and the full extension in a basis where H1 is replaced by H1 + X1.
     full = semidirect_product(g, torus)
-    extensions = [semidirect_product(g, part) for part in (torus, torus[:1], torus[:-1])]
-    for L in extensions + [_sheared(full, len(torus))]:
+    extensions = [semidirect_product(g, part) for part in [torus] + partial_tori(torus)]
+    for L in extensions + [_sheared(full, torus.dim)]:
         n = L.dim
         der = derivations(L)
         assert der.dim == derivation_nullity_bruteforce(L)
@@ -376,8 +393,8 @@ def test_merged_derivation_basis_is_the_canonical_span():
     for q in [()] + all_q_lists(4, 2):
         g = make_g_m_q(4, q) if q else make_g_m(4)
         torus = max_torus(g)
-        algebras += [semidirect_product(g, part) for part in (torus[:1], torus[:-1])]
-        algebras.append(_sheared(semidirect_product(g, torus), len(torus)))
+        algebras += [semidirect_product(g, part) for part in partial_tori(torus)]
+        algebras.append(_sheared(semidirect_product(g, torus), torus.dim))
     for L in algebras:
         assert rref_rows(derivations(L)) == derivations_by_one_span(L)
 
@@ -400,8 +417,8 @@ def test_derivations_of_partial_and_sheared_extensions_are_the_kernel_of_the_bru
     for q in [()] + all_q_lists(4, 2):
         g = make_g_m_q(4, q) if q else make_g_m(4)
         torus = max_torus(g)
-        algebras = [semidirect_product(g, part) for part in (torus[:1], torus[:-1])]
-        algebras.append(_sheared(semidirect_product(g, torus), len(torus)))
+        algebras = [semidirect_product(g, part) for part in partial_tori(torus)]
+        algebras.append(_sheared(semidirect_product(g, torus), torus.dim))
         for L in algebras:
             n = L.dim
             assert derivations(L) == nullspace_of_rows(_bruteforce_derivation_rows(L), n * n)
@@ -409,7 +426,7 @@ def test_derivations_of_partial_and_sheared_extensions_are_the_kernel_of_the_bru
 
 def test_centerless_extension_with_outer_derivations():
     g = make_g_m_q(4, (4,))
-    L = semidirect_product(g, max_torus(g)[:1])
+    L = semidirect_product(g, partial_tori(max_torus(g))[0])
     cert = is_complete(L)
     assert (cert.algebra_dim, cert.center_dim, cert.der_dim) == (10, 0, 14)
     assert not cert.is_complete

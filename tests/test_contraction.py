@@ -8,6 +8,8 @@ from liecontract.algebra import center, check_jacobi, derived_subalgebra
 from liecontract.contraction import (
     DivergentLimitError,
     NecessaryConditionsReport,
+    _exponent_rows,
+    _pinned_exponents,
     check_redundancy,
     heisenberg_exponents,
     limit_law,
@@ -15,7 +17,7 @@ from liecontract.contraction import (
     scale_law,
     solve_exponents,
 )
-from liecontract.exactlin import DimensionError
+from liecontract.exactlin import DimensionError, LinearSolveError
 from liecontract.families import (
     InvalidFamilyError,
     all_q_lists,
@@ -36,12 +38,33 @@ def test_exponents_single_cut_examples():
     assert solve_exponents(4, (5,)) == (0, 1, 1, 1, 2, 2, 2, 2, 3)
 
 
-@pytest.mark.parametrize("m", [4, 5, 6, 7])
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 20, 30, 50])
 def test_exponents_match_forward_substitution(m):
     for q in all_q_lists(m, 2):
         deleted = deleted_chain_targets(m, q)
         for (n1, n2) in PARAM_CHOICES:
             assert solve_exponents(m, q, n1, n2) == forward_exponents(m, deleted, n1, n2)
+
+
+@pytest.mark.parametrize("m", range(4, 10))
+def test_heisenberg_exponents_match_forward_substitution(m):
+    assert heisenberg_exponents(m) == forward_exponents(m, set(range(3, 2 * m + 1)))
+
+
+@pytest.mark.parametrize("m,q", [(4, (3,)), (5, (3, 5)), (6, (4,)), (7, (3, 5))])
+def test_a_dropped_entry_marked_kept_leaves_no_exponents(m, q):
+    # Each cut q <= m drops the chain entries into q and 2m+2-q.  Keeping one
+    # of them and dropping its partner unbalances the pairing rows at every
+    # h != 0: the pinned kernel is not one row with h = 1, and the solver
+    # raises instead of returning exponents.
+    rows = _exponent_rows(m, deleted_chain_targets(m, q))
+    dropped = [r for r, row in enumerate(rows) if 0 in row]
+    assert len(dropped) == 2 * len(q)
+    for r in dropped:
+        kept = [dict(row) for row in rows]
+        del kept[r][0]
+        with pytest.raises(LinearSolveError):
+            _pinned_exponents(kept, 2 * m + 1, 1, 1)
 
 
 @pytest.mark.parametrize("m", [4, 5, 6])
