@@ -179,17 +179,25 @@ class LieAlgebra:
         return nonzero
 
     def ad_matrix(self, x: Sequence) -> Matrix:
-        """Matrix of ad(x) = [x, .] in the algebra basis."""
+        """Matrix of ad(x) = [x, .] in the algebra basis, built in integers.
+
+        With e the lcm of the denominators of x, `_brackets_with` forms
+        _den * [X_r, e*x] from the integer vector e*x, so ad(x) is those
+        integer columns over the denominator _den * e; `Matrix` reduces the
+        pair.  No Fraction is made per entry.
+        """
         n = self.dim
         if len(x) != n:
             raise DimensionError("vector length does not match algebra dimension")
-        xs = {j: _coerce(v) for j, v in enumerate(x) if v}
-        rows = [[_ZERO] * n for _ in range(n)]
+        xs = [_coerce(v) for v in x]
+        e = lcm(*(v.denominator for v in xs))
+        scaled = {j: v.numerator * (e // v.denominator) for j, v in enumerate(xs) if v}
+        rows: list[dict[int, int]] = [{} for _ in range(n)]
         # Column r of ad(x) is [x, X_r] = -[X_r, x].
-        for r, col in self._brackets_with(xs).items():
+        for r, col in self._brackets_with(scaled).items():
             for s, c in col.items():
-                rows[s][r] = -c / self._den
-        return Matrix(rows, ncols=n)
+                rows[s][r] = -c
+        return Matrix._from_scaled(rows, self._den * e, n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -668,7 +676,9 @@ def is_derivation(L: LieAlgebra, M: Matrix) -> bool:
     n = L.dim
     if M.shape != (n, n):
         raise DimensionError("matrix shape does not match algebra dimension")
-    return Subspace(n * n, [[v for row in M.entries for v in row]]).is_subset(derivations(L))
+    # M's integer rows, flattened, are a multiple of M: they span the same line.
+    flat = {r * n + c: v for r, row in enumerate(M._rows) for c, v in row.items()}
+    return Subspace._from_rows([flat], n * n).is_subset(derivations(L))
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +725,9 @@ def _jordan_blocks(L: LieAlgebra, x: Sequence[int]) -> tuple[tuple[int, ...], tu
     r_(k-1) - r_k blocks have size at least k.
     """
     n = L.dim
-    # ad(_den * x) is integral and has the ranks of ad(x), so its powers keep
-    # denominator 1 instead of _den**k.
+    # ad(_den * x) is integral and has the ranks of ad(x): it is held over the
+    # denominator 1, so each power is a sparse integer product and reaches
+    # the elimination core as the integer rows it is stored in.
     ad = L.ad_matrix([L._den * v for v in x])
     power, ranks = ad, [n, matrix_rank(ad)]
     while ranks[-1] > 0:

@@ -26,16 +26,22 @@ reduction, not after every step); since each pivot row is zero in the other
 pivot columns, that pass gives the same primitive row as eliminating the
 columns one at a time.  The same routine, over one column,
 clears a new lead from the older pivot rows.  A row may hold ints or
-Fractions.  The systems built from the brackets of a
-`LieAlgebra` are integral already, because the algebra stores its structure
-tensor once, with the denominators cleared; only the powers of ad(x) behind
-the characteristic sequence still enter as `Fraction` rows.  `Subspace` keeps
-the core's reduced rows as integers, and the package reads a kernel off
-those rows: a torus extension takes a torus's canonical rows and their
+Fractions, but inside the package no `Fraction` row reaches the core: only
+public input (`Subspace(...)`, `nullspace_of_rows` on Fraction rows) is
+cleared there.  The systems built from the brackets of a `LieAlgebra` are
+integral, because the algebra stores its structure tensor once, with the
+denominators cleared.  A `Matrix` holds the core's own row format, sparse
+integer rows over one denominator, cleared once when it is built: `mul` is
+a sparse integer product, `rank` hands the rows to the core as they are,
+and `solve` scales its right-hand side instead of the rows, so the powers
+of ad(x) behind the characteristic sequence stay in integers.  `Subspace`
+keeps the core's reduced rows as integers, and the package reads a kernel
+off those rows: a torus extension takes a torus's canonical rows and their
 leads, and the contraction exponents are the one kernel row of their system
 at h = 1.  `Fraction`s are built only at the dense boundary:
 `Subspace.basis` and `completeness.weight_table` divide each row by its
-lead, and `rank` / `solve` normalise their own pivots.
+lead, `Matrix.entries` divides by the denominator, and `solve` divides by
+its pivots.
 
 A kernel costs one elimination.  `nullspace_of_rows` has `_echelon` read
 the rows with their columns reversed (c -> n - 1 - c).  A reduced pivot row
@@ -252,10 +258,6 @@ def _echelon(
     return pivots
 
 
-def _rows_from_dense(entries: Sequence[Sequence[Fraction]]) -> list[dict[int, Fraction]]:
-    return [{c: v for c, v in enumerate(row) if v} for row in entries]
-
-
 def _integer_kernel(pivots: Mapping[int, Mapping[int, int]], ncols: int) -> list[dict[int, int]]:
     """Canonical kernel rows of a system from the echelon form of its column-reversed rows.
 
@@ -294,9 +296,18 @@ def _integer_kernel(pivots: Mapping[int, Mapping[int, int]], ncols: int) -> list
 
 
 class Matrix:
-    """Immutable dense matrix with Fraction entries."""
+    """Immutable matrix over Q, held as the elimination core's sparse integer rows.
 
-    __slots__ = ("nrows", "ncols", "entries")
+    Row i is `_rows[i]`, {column: nonzero int}, and entry (i, j) is
+    `_rows[i].get(j, 0) / _den` for one denominator `_den` > 0.  The form is
+    reduced: the gcd of `_den` and every numerator is 1, so `_den` is the lcm
+    of the entries' denominators in lowest terms and a matrix has exactly
+    one form; equality and hashing compare it.  `rank` and `solve` hand the
+    rows to `_echelon` as they are, and `entries` builds the dense
+    `Fraction` rows on demand.
+    """
+
+    __slots__ = ("nrows", "ncols", "_rows", "_den")
 
     def __init__(self, entries: Iterable[Iterable], ncols: int | None = None):
         rows = tuple(_coerce_vector(r) for r in entries)
@@ -310,29 +321,53 @@ class Matrix:
             if ncols is None:
                 raise DimensionError("empty matrix needs an explicit ncols")
             width = ncols
+        # The denominators are cleared once, here: the lcm of the reduced
+        # denominators leaves no common factor with the numerators.
+        den = lcm(*(v.denominator for row in rows for v in row))
+        scaled = [{c: v.numerator * (den // v.denominator) for c, v in enumerate(row) if v} for row in rows]
+        self._set(scaled, den, width)
+
+    @classmethod
+    def _from_scaled(cls, rows: list[dict[int, int]], den: int, ncols: int) -> "Matrix":
+        """The matrix with entries rows[i][j] / den; rows hold nonzero ints below `ncols` and are not checked."""
+        if den != 1:
+            g = gcd(den, *(v for row in rows for v in row.values()))
+            if g != 1:
+                den //= g
+                for row in rows:
+                    for c in row:
+                        row[c] //= g
+        matrix = cls.__new__(cls)
+        matrix._set(rows, den, ncols)
+        return matrix
+
+    def _set(self, rows: list[dict[int, int]], den: int, ncols: int) -> None:
         object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", width)
-        object.__setattr__(self, "entries", rows)
+        object.__setattr__(self, "ncols", ncols)
+        object.__setattr__(self, "_rows", tuple(rows))
+        object.__setattr__(self, "_den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
+    @property
+    def entries(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The dense rows as Fraction tuples."""
+        den, cols = self._den, range(self.ncols)
+        return tuple(tuple(Fraction(row[c], den) if c in row else _ZERO for c in cols) for row in self._rows)
+
     def mul(self, other: "Matrix") -> "Matrix":
         if self.ncols != other.nrows:
             raise DimensionError(f"cannot multiply {self.shape} by {other.shape}")
-        cols = other.ncols
+        brows = other._rows
         out = []
-        for arow in self.entries:
-            new = [_ZERO] * cols
-            for k, a in enumerate(arow):
-                if a:
-                    brow = other.entries[k]
-                    for j in range(cols):
-                        b = brow[j]
-                        if b:
-                            new[j] += a * b
-            out.append(new)
-        return Matrix(out, ncols=cols)
+        for arow in self._rows:
+            new: dict[int, int] = {}
+            for k, a in arow.items():
+                for j, b in brows[k].items():
+                    new[j] = new.get(j, 0) + a * b
+            out.append({j: v for j, v in new.items() if v})
+        return Matrix._from_scaled(out, self._den * other._den, other.ncols)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -342,18 +377,20 @@ class Matrix:
         return (
             isinstance(other, Matrix)
             and self.shape == other.shape
-            and self.entries == other.entries
+            and self._den == other._den
+            and self._rows == other._rows
         )
 
     def __hash__(self) -> int:
-        return hash((self.shape, self.entries))
+        return hash((self.shape, self._den, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         return f"Matrix({self.nrows}x{self.ncols})"
 
 
 def rank(matrix: Matrix) -> int:
-    return len(_echelon(_rows_from_dense(matrix.entries)))
+    """Rank of a matrix: its integer rows go to `_echelon` as they are."""
+    return len(_echelon(matrix._rows))
 
 
 def nullspace_of_rows(rows: Iterable[Mapping[int, int | Fraction]], ncols: int) -> "Subspace":
@@ -375,21 +412,29 @@ def nullspace_of_rows(rows: Iterable[Mapping[int, int | Fraction]], ncols: int) 
 
 
 def solve(matrix: Matrix, rhs: Sequence) -> tuple[Fraction, ...]:
-    """Unique solution of Mx = rhs; raises LinearSolveError otherwise."""
+    """Unique solution of Mx = rhs; raises LinearSolveError otherwise.
+
+    M = R / d for the integer rows R and denominator d of `matrix`, and with
+    e the lcm of the denominators of rhs, y = e*x solves R y = d*e*rhs, an
+    integral system: its augmented rows are R with d*e*rhs appended, and
+    x = y / e.
+    """
     target = _coerce_vector(rhs)
     if len(target) != matrix.nrows:
         raise DimensionError("rhs length does not match row count")
     aug_col = matrix.ncols
-    rows = _rows_from_dense(matrix.entries)
-    for row, t in zip(rows, target):
-        if t:
-            row[aug_col] = t
+    e = lcm(*(t.denominator for t in target))
+    scale = matrix._den * e
+    rows = [
+        {**row, aug_col: t.numerator * (scale // t.denominator)} if t else row
+        for row, t in zip(matrix._rows, target)
+    ]
     pivots = _echelon(rows)
     if aug_col in pivots:
         raise LinearSolveError("inconsistent system")
     if len(pivots) < matrix.ncols:
         raise LinearSolveError("underdetermined system")
-    return tuple(Fraction(pivots[c].get(aug_col, 0), pivots[c][c]) for c in range(matrix.ncols))
+    return tuple(Fraction(pivots[c].get(aug_col, 0), pivots[c][c] * e) for c in range(matrix.ncols))
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from liecontract import exactlin
 from liecontract.algebra import (
     JacobiViolationError,
     LieAlgebra,
@@ -661,6 +662,22 @@ def test_characteristic_sequence_blocks_sum_to_dim():
         seq = characteristic_sequence(algebra)
         assert sum(seq.blocks) == algebra.dim
         assert tuple(sorted(seq.blocks, reverse=True)) == seq.blocks
+
+
+@pytest.mark.parametrize("name", ["g12(3,5)", "dense g4(4)"])
+def test_the_characteristic_sequence_hands_only_integer_rows_to_the_core(monkeypatch, name):
+    L = make_g_m_q(12, (3, 5)) if name == "g12(3,5)" else dense(make_g_m_q(4, (4,)), 1)
+    types = set()
+    echelon = exactlin._echelon
+
+    def recording(rows, column=None):
+        rows = list(rows)
+        types.update(type(v) for row in rows for v in row.values())
+        return echelon(rows, column)
+
+    monkeypatch.setattr(exactlin, "_echelon", recording)
+    characteristic_sequence(L)
+    assert types == {int}
 
 
 def test_characteristic_sequence_requires_nilpotent():

@@ -635,3 +635,116 @@ def test_matrix_is_immutable():
     m = Matrix([[1]])
     with pytest.raises(AttributeError):
         m.entries = ()
+
+
+# A Matrix holds the core's sparse integer rows over one denominator, kept
+# reduced; `entries` reads the dense Fraction rows back.
+
+entry_values = st.one_of(st.just(Fraction(0)), st.fractions(min_value=-6, max_value=6, max_denominator=12))
+
+
+@st.composite
+def dense_rows(draw, nrows=None, ncols=None):
+    """Dense Fraction rows with mixed and negative denominators; some rows are zero."""
+    nrows = draw(st.integers(1, 4)) if nrows is None else nrows
+    ncols = draw(st.integers(1, 4)) if ncols is None else ncols
+    row = st.lists(entry_values, min_size=ncols, max_size=ncols)
+    return draw(st.lists(st.one_of(row, st.just([Fraction(0)] * ncols)), min_size=nrows, max_size=nrows))
+
+
+@st.composite
+def product_pairs(draw, square=False):
+    """(a, b): dense rows of an n x k and a k x p matrix, with p = n when `square`."""
+    n, k = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    p = n if square else draw(st.integers(1, 4))
+    return draw(dense_rows(n, k)), draw(dense_rows(k, p))
+
+
+def identity(n):
+    return Matrix([[int(r == c) for c in range(n)] for r in range(n)])
+
+
+def dense_product(a, b):
+    """The product of two dense row lists by the schoolbook triple loop."""
+    inner, cols = range(len(b)), range(len(b[0]))
+    return tuple(tuple(sum((Fraction(row[k]) * b[k][j] for k in inner), Fraction(0)) for j in cols) for row in a)
+
+
+def assert_reduced(m):
+    """The stored form: nonzero ints over a positive denominator that shares no factor with them all."""
+    values = [v for row in m._rows for v in row.values()]
+    assert all(type(v) is int and v for v in values)
+    assert m._den > 0 and gcd(m._den, *values) == 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_rows())
+@example([[Fraction(1, 2), Fraction(-2, 3)], [Fraction(0), Fraction(0)]])
+def test_a_matrix_reads_back_its_dense_rows(rows):
+    m = Matrix(rows)
+    expected = tuple(map(tuple, rows))
+    assert m.entries == expected
+    assert all(type(v) is Fraction for row in m.entries for v in row)
+    assert_reduced(m)
+    # A product with the identity, on either side, keeps the entries.
+    for product in (identity(m.nrows).mul(m), m.mul(identity(m.ncols))):
+        assert product.entries == expected
+        assert_reduced(product)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_pairs())
+@example(([[2]], [[Fraction(1, 2)]]))
+def test_a_product_is_the_dense_triple_loop(pair):
+    a, b = pair
+    product = Matrix(a).mul(Matrix(b))
+    assert product.entries == dense_product(a, b)
+    assert_reduced(product)
+
+
+@settings(max_examples=100, deadline=None)
+@given(product_pairs(square=True), st.integers(-2, 2))
+@example(([[2, 0], [0, 1]], [[Fraction(1, 2), 0], [0, 1]]), 1)
+def test_rank_matches_the_reverse_eliminator(pair, shift):
+    a, b = pair
+    product = Matrix(a).mul(Matrix(b))
+    expected = dense_product(a, b)
+    for m, dense in ((Matrix(a), a), (Matrix(b), b), (product, expected)):
+        assert rank(m) == rank_reverse_elimination([{c: v for c, v in enumerate(row) if v} for row in dense])
+    # Subtracting shift * I makes the rank depend on the product's scale.
+    shifted = [[v - shift * (r == c) for c, v in enumerate(row)] for r, row in enumerate(product.entries)]
+    oracle = [{c: v - shift * (r == c) for c, v in enumerate(row) if v != shift * (r == c)} for r, row in enumerate(expected)]
+    assert rank(Matrix(shifted)) == rank_reverse_elimination(oracle)
+
+
+def test_equal_matrices_built_different_ways_are_equal_and_hash_equal():
+    a = Matrix([[2, 0], [1, 3]])
+    b = Matrix([[Fraction(1, 2), 0], [Fraction(-1, 6), Fraction(1, 3)]])
+    square = Matrix([[Fraction(1, 4), 0], [Fraction(-5, 36), Fraction(1, 9)]])
+    for product, direct in ((a.mul(b), identity(2)), (b.mul(b), square)):
+        assert product == direct
+        assert hash(product) == hash(direct)
+    # ad(x) of a Fraction x on a law with denominators, [X1, X2] = X3/2 and
+    # [X1, X3] = 2/3 X4: ad(x) and its square against the dense entries.
+    L = LieAlgebra(4, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: Fraction(2, 3)}})
+    assert L._den == 6
+    ad = L.ad_matrix([Fraction(1, 3), 0, 0, 0])
+    direct = Matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, Fraction(1, 6), 0, 0], [0, 0, Fraction(2, 9), 0]])
+    squared = Matrix([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, Fraction(1, 27), 0, 0]])
+    for built, expected in ((ad, direct), (ad.mul(ad), squared)):
+        assert built == expected
+        assert hash(built) == hash(expected)
+    assert Matrix([[1, 0]]) != Matrix([[2, 0]]) and Matrix([[1]]) != Matrix([[Fraction(1, 2)]])
+
+
+@settings(max_examples=100, deadline=None)
+@given(dense_rows(), st.data())
+def test_solve_recovers_the_vector_a_full_rank_matrix_maps(rows, data):
+    x = data.draw(st.lists(entry_values, min_size=len(rows[0]), max_size=len(rows[0])))
+    m = Matrix(rows)
+    rhs = [v for (v,) in dense_product(rows, [[v] for v in x])]
+    if rank(m) == m.ncols:
+        assert solve(m, rhs) == tuple(x)
+    else:
+        with pytest.raises(LinearSolveError):
+            solve(m, rhs)
