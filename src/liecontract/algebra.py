@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import wraps
 from itertools import accumulate
-from math import lcm
 from operator import add
 from typing import Iterator, Mapping, Sequence
 
@@ -21,12 +20,10 @@ from .exactlin import (
     DimensionError,
     Matrix,
     Subspace,
-    _coerce,
+    _cleared,
     nullspace_of_rows,
     rank as matrix_rank,
 )
-
-_ZERO = Fraction(0)
 
 
 class NotNilpotentError(ValueError):
@@ -58,7 +55,7 @@ class LieAlgebra:
 
     `tensor` maps a pair (i, j) with i < j to {k: C^k_ij}; only nonzero
     coefficients are kept.  The law is stored once, in integers: the
-    denominators are cleared here, `_den` is their lcm, and
+    denominators are cleared here, by `_cleared`, `_den` is their lcm, and
     `_tensor[(i, j)]` holds {k: C^k_ij * _den} as ints.  `_adj[j]` indexes
     the same integers by the second factor: it lists the triples
     (r, s, c * _den) with [X_r, X_j] = c X_s.  Spans and kernels do not
@@ -79,27 +76,23 @@ class LieAlgebra:
     ):
         if dim < 0:
             raise DimensionError("dimension must be nonnegative")
-        clean: dict[tuple[int, int], dict[int, Fraction | int]] = {}
+        keys, values = [], []
         for (i, j), fiber in tensor.items():
             if not (0 <= i < j < dim):
                 raise DimensionError(f"bad bracket pair ({i}, {j}) for dimension {dim}")
-            entries = {}
             for k, c in fiber.items():
                 if not 0 <= k < dim:
                     raise DimensionError(f"bad target index {k} for dimension {dim}")
-                val = _coerce(c)
-                if val:
-                    entries[k] = val
-            if entries:
-                clean[(i, j)] = entries
+                keys.append((i, j, k))
+                values.append(c)
         labels = _default_labels(dim) if basis_labels is None else tuple(basis_labels)
         if len(labels) != dim:
             raise DimensionError("label count does not match dimension")
-        den = lcm(*(c.denominator for entries in clean.values() for c in entries.values()))
-        for entries in clean.values():
-            for k, c in entries.items():
-                # Each Fraction is replaced in place by the int c * den.
-                entries[k] = c.numerator * (den // c.denominator)
+        scaled, den = _cleared(values)
+        clean: dict[tuple[int, int], dict[int, int]] = {}
+        for (i, j, k), v in zip(keys, scaled):
+            if v:
+                clean.setdefault((i, j), {})[k] = v
         self._build(dim, clean, den, labels)
 
     @classmethod
@@ -145,28 +138,36 @@ class LieAlgebra:
                 yield i, j, k, Fraction(fiber[k], self._den)
 
     def bracket(self, x: Sequence, y: Sequence) -> tuple[Fraction, ...]:
-        """[x, y] = sum_r x_r [X_r, y] in coordinates, read from `_brackets_with(y)`."""
+        """[x, y] = sum_r x_r [X_r, y] in coordinates, as Fractions.
+
+        `_cleared` writes x and y as integer vectors over their denominators
+        e_x and e_y; `_brackets_with` forms _den * [X_r, e_y * y] from the
+        integers, and the sum over r of (e_x * x)_r times those is
+        _den * e_x * e_y * [x, y], divided once at the end.
+        """
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionError("vector length does not match algebra dimension")
-        xs = [_coerce(v) for v in x]
-        ys = {j: v for j, v in enumerate(map(_coerce, y)) if v}
-        out = [_ZERO] * self.dim
-        for r, col in self._brackets_with(ys).items():
+        xs, ex = _cleared(x)
+        ys, ey = _cleared(y)
+        out = [0] * self.dim
+        for r, col in self._brackets_with({j: v for j, v in enumerate(ys) if v}).items():
             for s, c in col.items():
                 out[s] += xs[r] * c
-        return tuple(v / self._den for v in out)
+        den = self._den * ex * ey
+        return tuple(Fraction(v, den) for v in out)
 
     def _brackets_with(
-        self, v: Mapping[int, int | Fraction], adj: Sequence[Sequence[tuple[int, int, int]]] | None = None
-    ) -> dict[int, dict[int, int | Fraction]]:
-        """The nonzero _den * [X_r, v] as {r: {s: coefficient}}, v sparse as well.
+        self, v: Mapping[int, int], adj: Sequence[Sequence[tuple[int, int, int]]] | None = None
+    ) -> dict[int, dict[int, int]]:
+        """The nonzero _den * [X_r, v] as {r: {s: int}}, for a sparse integer vector v.
 
         The products are formed from `adj`, which is `_adj` unless a copy of
         `_adj` filtered to the triples (r, s, c) of some indices r is given:
-        then only the products with those X_r are formed.  An integral v
-        gives integral results.
+        then only the products with those X_r are formed.  v is integral, as
+        every internal vector is: its denominators are cleared where it
+        enters (`_cleared`, in `bracket` and `ad_matrix`).
         """
-        out: dict[int, dict[int, int | Fraction]] = {}
+        out: dict[int, dict[int, int]] = {}
         for j, vj in v.items():
             for (r, s, c) in (self._adj if adj is None else adj)[j]:
                 col = out.setdefault(r, {})
@@ -181,20 +182,18 @@ class LieAlgebra:
     def ad_matrix(self, x: Sequence) -> Matrix:
         """Matrix of ad(x) = [x, .] in the algebra basis, built in integers.
 
-        With e the lcm of the denominators of x, `_brackets_with` forms
-        _den * [X_r, e*x] from the integer vector e*x, so ad(x) is those
-        integer columns over the denominator _den * e; `Matrix` reduces the
-        pair.  No Fraction is made per entry.
+        `_cleared` writes x as the integer vector e*x over its denominator
+        e, `_brackets_with` forms _den * [X_r, e*x] from it, so ad(x) is
+        those integer columns over the denominator _den * e; `Matrix`
+        reduces the pair.  No Fraction is made per entry.
         """
         n = self.dim
         if len(x) != n:
             raise DimensionError("vector length does not match algebra dimension")
-        xs = [_coerce(v) for v in x]
-        e = lcm(*(v.denominator for v in xs))
-        scaled = {j: v.numerator * (e // v.denominator) for j, v in enumerate(xs) if v}
+        xs, e = _cleared(x)
         rows: list[dict[int, int]] = [{} for _ in range(n)]
         # Column r of ad(x) is [x, X_r] = -[X_r, x].
-        for r, col in self._brackets_with(scaled).items():
+        for r, col in self._brackets_with({j: v for j, v in enumerate(xs) if v}).items():
             for s, c in col.items():
                 rows[s][r] = -c
         return Matrix._from_scaled(rows, self._den * e, n)

@@ -8,7 +8,7 @@ The elimination core (`_echelon`) reads each input row once and never
 modifies it.  A row with one nonzero entry, at column c, is a unit row: it
 puts e_c in the span and settles c, and no dict is built for it.  Every
 other row becomes one working copy, with any column renumbering the caller
-asks for applied as it is copied, zeros dropped and denominators cleared.
+asks for applied as it is copied and zeros dropped.
 Settled columns are cut from the copies in place, and a copy cut down to
 one entry settles its column in turn.  The result is unchanged: the cut
 rows and the e_c span the same space, and a space that holds e_c has e_c
@@ -25,13 +25,19 @@ Bareiss's fraction-free elimination, the content is removed once per
 reduction, not after every step); since each pivot row is zero in the other
 pivot columns, that pass gives the same primitive row as eliminating the
 columns one at a time.  The same routine, over one column,
-clears a new lead from the older pivot rows.  A row may hold ints or
-Fractions, but inside the package no `Fraction` row reaches the core: only
-public input (`Subspace(...)`, `nullspace_of_rows` on Fraction rows) is
-cleared there.  The systems built from the brackets of a `LieAlgebra` are
-integral, because the algebra stores its structure tensor once, with the
-denominators cleared.  A `Matrix` holds the core's own row format, sparse
-integer rows over one denominator, cleared once when it is built: `mul` is
+clears a new lead from the older pivot rows.
+
+Rows are integers past the entry points: the core, `nullspace_of_rows` and
+`Subspace._from_rows` take sparse rows `{column: int}` and clear nothing.
+Dense input is cleared once, where it enters, by `_cleared`, the one place
+that takes the lcm of denominators: `Matrix(...)` over all its entries,
+the right-hand side of `solve`, each vector of `Subspace(...)` (scaling a
+vector keeps its span), and in `algebra` the vectors of
+`LieAlgebra.bracket` and `LieAlgebra.ad_matrix` and the structure
+constants of a `LieAlgebra`.  The systems built from the brackets of a
+`LieAlgebra` are integral, because the algebra stores its structure tensor
+once, with the denominators cleared.  A `Matrix` holds the core's own row
+format, sparse integer rows over one denominator: `mul` is
 a sparse integer product, `rank` hands the rows to the core as they are,
 and `solve` scales its right-hand side instead of the rows, so the powers
 of ad(x) behind the characteristic sequence stay in integers.  `Subspace`
@@ -55,13 +61,14 @@ order emits them in lead order.  Canonical rows are also reused as they are:
 `Subspace.is_subset` reduces against them as a ready echelon form, and
 `Subspace._from_canonical` takes rows already in canonical form.
 
-Inside the package vectors are sparse rows `{column: nonzero value}`.
+Inside the package vectors are sparse rows `{column: nonzero int}`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, inf, lcm
+from operator import index
 from typing import Collection, Iterable, Mapping, Sequence
 
 _ZERO = Fraction(0)
@@ -75,21 +82,23 @@ class LinearSolveError(ValueError):
     """The linear system has no solution or no unique one."""
 
 
-def _coerce(value) -> Fraction:
-    return value if type(value) is Fraction else Fraction(value)
+def _cleared(values: Iterable) -> tuple[list[int], int]:
+    """(numerators, den): each value, read as a Fraction, is numerators[i] / den.
 
-
-def _coerce_vector(vector: Iterable) -> tuple[Fraction, ...]:
-    return tuple(_coerce(v) for v in vector)
+    The one place where denominators are cleared.  den > 0 is the lcm of the
+    reduced denominators, so no factor is common to den and every numerator.
+    """
+    fractions = [v if type(v) in (int, Fraction) else Fraction(v) for v in values]
+    den = lcm(*(v.denominator for v in fractions))
+    return [v.numerator * (den // v.denominator) for v in fractions], den
 
 
 # ---------------------------------------------------------------------------
-# Sparse elimination core.  Rows are dicts {column: nonzero int or Fraction};
-# the reduced form is unique, so every caller sees canonical output regardless
-# of the order rows arrive in.  Each row is held as a primitive integer
-# multiple of itself (denominators cleared, content divided out): a row
-# operation costs integer products and one content gcd, where Fraction
-# arithmetic pays a gcd for every entry.
+# Sparse elimination core.  Rows are dicts {column: int}; the reduced form is
+# unique, so every caller sees canonical output regardless of the order rows
+# arrive in.  Each row is held as a primitive integer multiple of itself
+# (content divided out): a row operation costs integer products and one
+# content gcd, where Fraction arithmetic pays a gcd for every entry.
 # ---------------------------------------------------------------------------
 
 
@@ -117,7 +126,9 @@ def _reduce(
     columns, so the sum clears each held column and brings none back: the
     result is the primitive row that eliminating the held columns one at a
     time gives, for one content gcd instead of one per column.  `row` may be
-    updated in place; callers use only the returned row.
+    updated in place; callers use only the returned row.  A held entry is
+    read through `index`, so a non-integer raises TypeError there instead
+    of being truncated by the floor division (a lead p_c = 1 skips the gcd).
     """
     m = 1
     for col in held:
@@ -128,7 +139,7 @@ def _reduce(
         row = {c: m * v for c, v in row.items()}
     for col in held:
         pivot_row = pivots[col]
-        f = row.pop(col) // pivot_row[col]
+        f = index(row.pop(col)) // pivot_row[col]
         for c, v in pivot_row.items():
             if c != col:
                 new = row.get(c, 0) - f * v
@@ -139,20 +150,20 @@ def _reduce(
     return _primitive(row) if row else row
 
 
-def _echelon(
-    rows: Iterable[Mapping[int, int | Fraction]], column: Sequence[int] | None = None
-) -> dict[int, dict[int, int]]:
-    """Reduced echelon form of sparse rows of ints or Fractions, as {lead column: row}.
+def _echelon(rows: Iterable[Mapping[int, int]], column: Sequence[int] | None = None) -> dict[int, dict[int, int]]:
+    """Reduced echelon form of sparse integer rows, as {lead column: row}.
 
     Each input row is read once.  Column c of an input row is column
     `column[c]` of the system eliminated (c itself when `column` is None),
     so a caller that renumbers the columns passes the map instead of copying
     its rows.  A row with one nonzero entry, at c, is a unit row: it settles
     column c and no dict is built for it.  Every other row is copied once,
-    with the map applied, zeros dropped and denominators cleared (a row
-    holding a Fraction is scaled by the lcm of its denominators); a copy
-    left with one entry settles that column too.  The input rows are not
-    modified, and no returned row is one of them.
+    with the map applied and zeros dropped; a copy left with one entry
+    settles that column too.  The input rows are not modified, and no
+    returned row is one of them.  Values must be ints: denominators are
+    cleared where a vector enters the package (`_cleared`), not here.  A
+    `Fraction` that reaches a row operation raises TypeError (from `gcd`,
+    or `index` in `_reduce`); no row is scanned for one.
 
     A settled column c puts e_c in the span, so c is cut from every copy
     that holds it, in place; a copy cut down to one entry settles its column
@@ -194,14 +205,7 @@ def _echelon(
             if v:
                 units.add(c if column is None else column[c])
             continue
-        if Fraction in map(type, raw.values()):
-            den = lcm(*(v.denominator for v in raw.values()))
-            row = {
-                c if column is None else column[c]: v.numerator * (den // v.denominator)
-                for c, v in raw.items()
-                if v
-            }
-        elif column is None:
+        if column is None:
             row = {c: v for c, v in raw.items() if v}
         else:
             row = {column[c]: v for c, v in raw.items() if v}
@@ -310,7 +314,7 @@ class Matrix:
     __slots__ = ("nrows", "ncols", "_rows", "_den")
 
     def __init__(self, entries: Iterable[Iterable], ncols: int | None = None):
-        rows = tuple(_coerce_vector(r) for r in entries)
+        rows = [list(r) for r in entries]
         if rows:
             width = len(rows[0])
             if any(len(r) != width for r in rows):
@@ -320,11 +324,12 @@ class Matrix:
         else:
             if ncols is None:
                 raise DimensionError("empty matrix needs an explicit ncols")
+            if ncols < 0:
+                raise DimensionError("column count must be nonnegative")
             width = ncols
-        # The denominators are cleared once, here: the lcm of the reduced
-        # denominators leaves no common factor with the numerators.
-        den = lcm(*(v.denominator for row in rows for v in row))
-        scaled = [{c: v.numerator * (den // v.denominator) for c, v in enumerate(row) if v} for row in rows]
+        # One lcm over every entry keeps the form reduced.
+        flat, den = _cleared(v for row in rows for v in row)
+        scaled = [{c: v for c, v in enumerate(flat[i * width : (i + 1) * width]) if v} for i in range(len(rows))]
         self._set(scaled, den, width)
 
     @classmethod
@@ -393,11 +398,13 @@ def rank(matrix: Matrix) -> int:
     return len(_echelon(matrix._rows))
 
 
-def nullspace_of_rows(rows: Iterable[Mapping[int, int | Fraction]], ncols: int) -> "Subspace":
-    """Kernel of a sparse row system of ints or Fractions, as a canonical Subspace of Q^ncols.
+def nullspace_of_rows(rows: Iterable[Mapping[int, int]], ncols: int) -> "Subspace":
+    """Kernel of a sparse integer row system, as a canonical Subspace of Q^ncols.
 
-    One elimination: `_echelon` reads the rows with their columns reversed
-    (c -> ncols - 1 - c), as it copies them, and leaves the rows unmodified.
+    The rows hold ints, as `_echelon` requires (a row with denominators,
+    scaled by their lcm, has the same kernel).  One elimination: `_echelon`
+    reads the rows with their columns reversed (c -> ncols - 1 - c), as it
+    copies them, and leaves the rows unmodified.
     In that reduced form a pivot row holds its lead and free columns above
     it, so by `_integer_kernel` the kernel vector of a free column f holds f,
     with a positive entry, and otherwise only pivot columns below f; it
@@ -417,18 +424,13 @@ def solve(matrix: Matrix, rhs: Sequence) -> tuple[Fraction, ...]:
     M = R / d for the integer rows R and denominator d of `matrix`, and with
     e the lcm of the denominators of rhs, y = e*x solves R y = d*e*rhs, an
     integral system: its augmented rows are R with d*e*rhs appended, and
-    x = y / e.
+    x = y / e.  `_cleared` gives e*rhs and e.
     """
-    target = _coerce_vector(rhs)
+    target, e = _cleared(rhs)
     if len(target) != matrix.nrows:
         raise DimensionError("rhs length does not match row count")
-    aug_col = matrix.ncols
-    e = lcm(*(t.denominator for t in target))
-    scale = matrix._den * e
-    rows = [
-        {**row, aug_col: t.numerator * (scale // t.denominator)} if t else row
-        for row, t in zip(matrix._rows, target)
-    ]
+    aug_col, d = matrix.ncols, matrix._den
+    rows = [{**row, aug_col: d * t} if t else row for row, t in zip(matrix._rows, target)]
     pivots = _echelon(rows)
     if aug_col in pivots:
         raise LinearSolveError("inconsistent system")
@@ -460,25 +462,26 @@ class Subspace:
             raise DimensionError("ambient dimension must be nonnegative")
         rows = []
         for vec in vectors:
-            dense = _coerce_vector(vec)
-            if len(dense) != ambient_dim:
+            # Scaling a vector by the lcm of its denominators keeps its span.
+            scaled, _ = _cleared(vec)
+            if len(scaled) != ambient_dim:
                 raise DimensionError(
-                    f"vector of length {len(dense)} in ambient dimension {ambient_dim}"
+                    f"vector of length {len(scaled)} in ambient dimension {ambient_dim}"
                 )
-            rows.append({c: v for c, v in enumerate(dense) if v})
+            rows.append({c: v for c, v in enumerate(scaled) if v})
         self._set_rows(rows, ambient_dim)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
 
-    def _set_rows(self, rows: Iterable[Mapping[int, int | Fraction]], ambient_dim: int) -> None:
+    def _set_rows(self, rows: Iterable[Mapping[int, int]], ambient_dim: int) -> None:
         pivots = _echelon(rows)
         object.__setattr__(self, "ambient_dim", ambient_dim)
         object.__setattr__(self, "_rows", tuple(pivots[c] for c in sorted(pivots)))
 
     @classmethod
-    def _from_rows(cls, rows: Iterable[Mapping[int, int | Fraction]], ambient_dim: int) -> "Subspace":
-        """Span of sparse rows with columns below `ambient_dim`; rows are not checked."""
+    def _from_rows(cls, rows: Iterable[Mapping[int, int]], ambient_dim: int) -> "Subspace":
+        """Span of sparse integer rows with columns below `ambient_dim`; rows are not checked or cleared."""
         sub = cls.__new__(cls)
         sub._set_rows(rows, ambient_dim)
         return sub
@@ -534,7 +537,7 @@ class Subspace:
         )
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash((self.ambient_dim, tuple(frozenset(row.items()) for row in self._rows)))
 
     def __repr__(self) -> str:
         return f"Subspace(dim={self.dim}, ambient={self.ambient_dim})"

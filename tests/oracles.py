@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 
 def rank_reverse_elimination(rows) -> int:
@@ -443,6 +444,19 @@ def random_basis(n: int, seed: int) -> list[list[int]]:
         P = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)]
         if len(rref_gauss_jordan([{c: v for c, v in enumerate(row) if v} for row in P], n)) == n:
             return P
+
+
+def integer_rows(rows) -> list[dict[int, int]]:
+    """Each sparse row {column: value} times the lcm of its denominators, as {column: int}.
+
+    Every entry is kept, explicit zeros too; a row and its scaled copy span
+    the same line, so spans and kernels are unchanged.
+    """
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(v).denominator for v in row.values()))
+        out.append({c: int(Fraction(v) * den) for c, v in row.items()})
+    return out
 
 
 def kernel_by_gauss_jordan(rows, ncols: int) -> dict[int, dict[int, Fraction]]:

@@ -32,6 +32,7 @@ from liecontract.algebra import (
     lower_central_series,
     to_json_dict,
 )
+from liecontract.cli import run
 from liecontract.completeness import build_r_m, weight_system
 from liecontract.exactlin import DimensionError, Matrix, Subspace, nullspace_of_rows
 from liecontract.families import (
@@ -43,6 +44,7 @@ from liecontract.families import (
     make_model_filiform,
 )
 from oracles import (
+    _bracket_of,
     _bruteforce_derivation_rows,
     _unit_brackets,
     ad_power_ranks,
@@ -53,6 +55,7 @@ from oracles import (
     derived_algebra_by_brackets,
     generated_subalgebra_by_brackets,
     in_basis,
+    integer_rows,
     jordan_type_by_powers,
     lower_central_series_by_brackets,
     random_basis,
@@ -96,6 +99,23 @@ def test_bracket_of_vector_with_itself_vanishes(x):
 def test_bracket_length_mismatch(g4):
     with pytest.raises(DimensionError):
         g4.bracket([1, 0], unit(9, 0))
+
+
+# `bracket` clears x and y once, where they enter, brackets the integer
+# vectors and divides by _den * e_x * e_y at the end.
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["dense g4(4)", "halves and thirds"]), st.data())
+def test_the_bracket_of_fraction_vectors_is_the_oracle_bracket(name, data):
+    if name == "dense g4(4)":
+        L = dense(make_g_m_q(4, (4,)), 1)
+    else:
+        L = LieAlgebra(4, {(0, 1): {2: Fraction(1, 2)}, (0, 2): {3: Fraction(2, 3)}, (1, 2): {3: Fraction(-3, 4)}})
+    assert L._den > 1
+    vector = st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=6), min_size=L.dim, max_size=L.dim)
+    x, y = data.draw(vector), data.draw(vector)
+    assert L.bracket(x, y) == tuple(_bracket_of(_unit_brackets(L), x, y))
 
 
 def test_structure_constant_signs(g4):
@@ -442,7 +462,7 @@ def test_non_derivation_is_rejected():
 
 
 def assert_derivations_are_the_kernel_of_the_bruteforce_rows(L):
-    assert derivations(L) == nullspace_of_rows(_bruteforce_derivation_rows(L), L.dim**2)
+    assert derivations(L) == nullspace_of_rows(integer_rows(_bruteforce_derivation_rows(L)), L.dim**2)
 
 
 @pytest.mark.parametrize("m", range(4, 8))
@@ -664,20 +684,59 @@ def test_characteristic_sequence_blocks_sum_to_dim():
         assert tuple(sorted(seq.blocks, reverse=True)) == seq.blocks
 
 
+def recording_value_types(monkeypatch):
+    """(row types, vector types): the value types of each row `_echelon` reads and each vector `_brackets_with` reads."""
+    row_types, vector_types = set(), set()
+    echelon, brackets_with = exactlin._echelon, LieAlgebra._brackets_with
+
+    def recording_echelon(rows, column=None):
+        rows = list(rows)
+        row_types.update(type(v) for row in rows for v in row.values())
+        return echelon(rows, column)
+
+    def recording_brackets_with(self, v, adj=None):
+        vector_types.update(map(type, v.values()))
+        return brackets_with(self, v, adj)
+
+    monkeypatch.setattr(exactlin, "_echelon", recording_echelon)
+    monkeypatch.setattr(LieAlgebra, "_brackets_with", recording_brackets_with)
+    return row_types, vector_types
+
+
 @pytest.mark.parametrize("name", ["g12(3,5)", "dense g4(4)"])
 def test_the_characteristic_sequence_hands_only_integer_rows_to_the_core(monkeypatch, name):
     L = make_g_m_q(12, (3, 5)) if name == "g12(3,5)" else dense(make_g_m_q(4, (4,)), 1)
-    types = set()
-    echelon = exactlin._echelon
-
-    def recording(rows, column=None):
-        rows = list(rows)
-        types.update(type(v) for row in rows for v in row.values())
-        return echelon(rows, column)
-
-    monkeypatch.setattr(exactlin, "_echelon", recording)
+    row_types, vector_types = recording_value_types(monkeypatch)
     characteristic_sequence(L)
-    assert types == {int}
+    assert row_types == vector_types == {int}
+
+
+# Past the entry points every row is integral: over whole CLI runs, no
+# `Fraction` reaches the elimination core or the bracket primitive.
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["table", "--m", "4..5"],
+        ["check", "--m", "8", "--q", "3,5"],
+        ["verify-complete", "--m", "6", "--q", "4"],
+        ["contract", "--m", "9", "--q", "4", "--emit-exponents"],
+        ["invariants", "--in", "dense-g4.json"],
+    ],
+    ids=["table", "check", "verify-complete", "contract", "invariants-in"],
+)
+def test_cli_runs_hand_only_integer_rows_to_the_core(monkeypatch, tmp_path, capsys, argv):
+    if "--in" in argv:
+        g = make_g_m_q(4, (4,))
+        source = tmp_path / argv[-1]
+        source.write_text(json.dumps(in_basis(to_json_dict(g), random_basis(g.dim, 1))))
+        argv = argv[:-1] + [str(source)]
+    row_types, vector_types = recording_value_types(monkeypatch)
+    assert run(argv) == 0
+    capsys.readouterr()
+    # `verify-complete` and `contract` bracket no vectors: they read the tensor.
+    assert row_types == {int} and vector_types <= {int}
 
 
 def test_characteristic_sequence_requires_nilpotent():

@@ -48,6 +48,7 @@ from oracles import (
     derivation_by_brackets,
     derivation_nullity_bruteforce,
     in_basis,
+    integer_rows,
     kernel_by_gauss_jordan,
     rref_gauss_jordan,
 )
@@ -407,7 +408,7 @@ def test_derivations_of_each_extension_are_the_kernel_of_the_bruteforce_rows(m):
     for q in [()] + all_q_lists(m, 2):
         L = build_r_m(m, q)
         n = L.dim
-        assert derivations(L) == nullspace_of_rows(_bruteforce_derivation_rows(L), n * n)
+        assert derivations(L) == nullspace_of_rows(integer_rows(_bruteforce_derivation_rows(L)), n * n)
         assert derivations(L).dim == derivation_nullity_bruteforce(L)
 
 
@@ -421,7 +422,7 @@ def test_derivations_of_partial_and_sheared_extensions_are_the_kernel_of_the_bru
         algebras.append(_sheared(semidirect_product(g, torus), torus.dim))
         for L in algebras:
             n = L.dim
-            assert derivations(L) == nullspace_of_rows(_bruteforce_derivation_rows(L), n * n)
+            assert derivations(L) == nullspace_of_rows(integer_rows(_bruteforce_derivation_rows(L)), n * n)
 
 
 def test_centerless_extension_with_outer_derivations():

@@ -26,7 +26,14 @@ from liecontract.exactlin import (
     solve,
 )
 from liecontract.families import all_q_lists, make_g_m_q
-from oracles import in_basis, kernel_by_gauss_jordan, random_basis, rank_reverse_elimination, rref_gauss_jordan
+from oracles import (
+    in_basis,
+    integer_rows,
+    kernel_by_gauss_jordan,
+    random_basis,
+    rank_reverse_elimination,
+    rref_gauss_jordan,
+)
 
 scalars = st.fractions(min_value=-4, max_value=4, max_denominator=3)
 
@@ -46,8 +53,8 @@ def matrices(draw, max_rows=5, max_cols=5):
 
 
 def rows_of(matrix):
-    """Dense matrix rows as the {column: value} dicts nullspace_of_rows takes."""
-    return [dict(enumerate(row)) for row in matrix.entries]
+    """Dense matrix rows as the integer {column: value} dicts nullspace_of_rows takes."""
+    return integer_rows(dict(enumerate(row)) for row in matrix.entries)
 
 
 # The canonical basis of a Subspace is the reduced row echelon form of its
@@ -137,7 +144,7 @@ def test_reduction_matches_the_reverse_eliminator(system):
     # The basis spans no more than the rows do.
     sparse_basis = [{c: v for c, v in enumerate(vec) if v} for vec in basis]
     assert rank_reverse_elimination(sparse + sparse_basis) == expected
-    kernel = nullspace_of_rows(sparse, ncols)
+    kernel = nullspace_of_rows(integer_rows(sparse), ncols)
     assert kernel.dim == ncols - expected
     for vec in kernel.basis:
         for row in rows:
@@ -186,6 +193,7 @@ def sparse_systems(draw):
 @given(sparse_systems(), st.randoms(use_true_random=False))
 def test_echelon_is_the_rref_in_any_row_order(system, rnd):
     ncols, rows = system
+    rows = integer_rows(rows)
     before = copy.deepcopy(rows)
     pivots = _echelon(rows)
     assert rows == before
@@ -253,6 +261,7 @@ def unit_rich_systems(draw):
 @example((3, [{0: 1}, {0: 1, 1: 5, 2: 0}, {1: 1, 2: 1}]))
 def test_unit_rows_are_settled_to_the_rref(system):
     ncols, rows = system
+    rows = integer_rows(rows)
     before = copy.deepcopy(rows)
     pivots = _echelon(rows)
     assert rows == before
@@ -274,10 +283,11 @@ def assert_unmodified(rows, before, result_rows):
 
 @settings(max_examples=300, deadline=None)
 @given(unit_rich_systems(), st.randoms(use_true_random=False))
-# A cascade through Fraction rows under the reversal map.
+# A cascade under the reversal map, through rows that held Fractions.
 @example((3, [{0: 2, 1: 1}, {1: Fraction(3, 2), 2: 1}, {2: Fraction(1, 2)}]), random.Random(0))
 def test_no_input_row_is_modified(system, rnd):
     ncols, rows = system
+    rows = integer_rows(rows)
     before = copy.deepcopy(rows)
     column = list(range(ncols))
     rnd.shuffle(column)
@@ -461,15 +471,26 @@ def test_nullspace_of_zero_map_is_everything():
 
 
 def test_nullspace_single_equation():
-    kernel = nullspace_of_rows([{0: Fraction(1), 1: Fraction(1)}], 3)
+    kernel = nullspace_of_rows(integer_rows([{0: Fraction(1), 1: Fraction(1)}]), 3)
     assert kernel.dim == 2
     assert Subspace(3, [[1, -1, 0]]).is_subset(kernel)
     assert Subspace(3, [[0, 0, 5]]).is_subset(kernel)
     assert not Subspace(3, [[1, 0, 0]]).is_subset(kernel)
 
 
+def test_a_fraction_row_is_refused_by_the_core():
+    # Denominators are cleared where a vector enters; the core takes ints only.
+    with pytest.raises(TypeError):
+        nullspace_of_rows([{0: Fraction(1, 2), 1: 1}], 2)
+    # Reversed, the second row is {0: 1/2, 1: 1} against the pivot row
+    # {0: 1, 1: 2} of lead 1: floor division would read 1/2 as 0 and return
+    # the zero kernel, where the kernel is a line.
+    with pytest.raises(TypeError):
+        nullspace_of_rows([{0: 2, 1: 1}, {0: 1, 1: Fraction(1, 2)}], 2)
+
+
 def test_nullspace_of_rows_matches_dense():
-    rows = [{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}]
+    rows = integer_rows([{0: Fraction(1), 2: Fraction(-1)}, {1: Fraction(2)}])
     dense = Matrix([[1, 0, -1], [0, 2, 0]])
     assert nullspace_of_rows(rows, 3) == nullspace_of_rows(rows_of(dense), 3)
     assert nullspace_of_rows(rows, 3) == Subspace(3, [[1, 0, 1]])
@@ -528,6 +549,7 @@ def kernel_systems(draw):
 @example((4, [{0: 1, 3: -1}, {1: 1, 2: -1}]))
 def test_one_elimination_gives_the_canonical_kernel(system):
     ncols, rows = system
+    rows = integer_rows(rows)
     kernel = assert_kernel_is_the_canonical_span(rows, ncols)
     assert rref_of({min(row): row for row in kernel._rows}) == kernel_by_gauss_jordan(rows, ncols)
 
@@ -574,6 +596,21 @@ def test_span_canonicalizes_generators():
         assert other == product
         assert hash(other) == hash(product)
     assert product.basis == ((0, 1, Fraction(-1, 6)),)
+
+
+def test_equal_subspaces_hash_equal_from_every_constructor(monkeypatch):
+    # The plane x_1 = 2 x_0 of Q^3, from dense Fraction vectors, from integer
+    # rows and as a kernel.
+    built = [
+        Subspace(3, [[Fraction(1, 2), 1, 0], [0, 0, Fraction(-1, 3)]]),
+        Subspace._from_rows([{0: -3, 1: -6, 2: 7}, {2: 5}], 3),
+        nullspace_of_rows([{0: 2, 1: -1}], 3),
+    ]
+    # The hash reads the canonical rows; no dense basis is built.
+    monkeypatch.setattr(Subspace, "basis", property(lambda self: pytest.fail("hash built the dense basis")))
+    for other in built[1:]:
+        assert other == built[0]
+        assert hash(other) == hash(built[0])
 
 
 def test_subspace_dim_and_zero():
@@ -629,6 +666,16 @@ def test_matrix_multiplication():
 def test_matrix_rejects_ragged_rows():
     with pytest.raises(DimensionError):
         Matrix([[1, 2], [3]])
+
+
+def test_matrix_rejects_a_negative_column_count():
+    with pytest.raises(DimensionError):
+        Matrix([], ncols=-3)
+    # One row of no entries is a 1 x 0 matrix.
+    for m, shape in ((Matrix([[]]), (1, 0)), (Matrix([[]], ncols=0), (1, 0)), (Matrix([], ncols=0), (0, 0))):
+        assert m.shape == shape
+        assert rank(m) == 0
+    assert Matrix([[]]).entries == ((),)
 
 
 def test_matrix_is_immutable():
@@ -748,3 +795,22 @@ def test_solve_recovers_the_vector_a_full_rank_matrix_maps(rows, data):
     else:
         with pytest.raises(LinearSolveError):
             solve(m, rhs)
+
+
+# Dense input is cleared once, where it enters: `Subspace(...)` scales each
+# vector by the lcm of its denominators before the core reads it.
+
+
+@st.composite
+def fraction_vectors(draw):
+    """(n, vectors): up to five dense vectors of Q^n, n from 0, with mixed denominators and zero entries."""
+    n = draw(st.integers(0, 5))
+    return n, draw(st.lists(st.lists(entry_values, min_size=n, max_size=n), max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(fraction_vectors())
+def test_a_span_of_fraction_vectors_is_the_rref(system):
+    n, vectors = system
+    expected = rref_gauss_jordan([dict(enumerate(v)) for v in vectors], n)
+    assert Subspace(n, vectors).basis == tuple(tuple(expected[p].get(c, 0) for c in range(n)) for p in sorted(expected))
